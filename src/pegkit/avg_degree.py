@@ -32,9 +32,6 @@ THRESHOLD_COEFF = 4.0
 # Relative slack for the floating-point degree-threshold comparison.
 _THRESHOLD_RTOL = 1e-12
 
-_CHUNK = 1 << 19
-
-
 def precedes(g, u, v):
     """Strict total vertex order: degree first, id as tie-break."""
     return (g.degree(u), u) < (g.degree(v), v)
@@ -56,6 +53,27 @@ def chi_threshold(n, crude, epsilon, coeff=THRESHOLD_COEFF):
     return coeff * math.sqrt(n * crude / epsilon)
 
 
+def _check_epsilon(epsilon):
+    if not 0 < epsilon < 0.5:
+        raise ValueError("epsilon must lie in (0, 1/2)")
+
+
+def _check_positive(**coeffs):
+    for name, value in coeffs.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a positive finite number, got {value}")
+
+
+def check_estimate_parameters(
+    n, epsilon, sample_coeff=SAMPLE_COEFF, rep_coeff=REP_COEFF, threshold_coeff=THRESHOLD_COEFF
+):
+    """Raise ValueError unless `estimate_avg_degree` can run with these arguments."""
+    if n < 2:
+        raise ValueError("estimation needs at least two vertices")
+    _check_epsilon(epsilon)
+    _check_positive(sample_coeff=sample_coeff, rep_coeff=rep_coeff, threshold_coeff=threshold_coeff)
+
+
 @dataclass
 class DegreeEstimatorConfig:
     epsilon: float
@@ -70,12 +88,12 @@ class DegreeEstimatorConfig:
         return self.sample_coeff == SAMPLE_COEFF and self.threshold_coeff == THRESHOLD_COEFF
 
     def validate(self):
-        if not 0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must lie in (0, 1/2)")
+        _check_epsilon(self.epsilon)
         if not 0 < self.delta < 1 / 3:
             raise ValueError("delta must lie in (0, 1/3)")
         if self.crude is None or self.crude <= 0:
             raise ValueError("a positive crude estimate is required")
+        _check_positive(sample_coeff=self.sample_coeff, threshold_coeff=self.threshold_coeff)
 
 
 @dataclass
@@ -88,7 +106,6 @@ class DegreeEstimate:
     iteration: "int | None" = None
     seed: "int | None" = None
     conforming: bool = True
-    trace: "list | None" = None
 
     def to_dict(self):
         return {
@@ -133,56 +150,70 @@ def chi_sample(session, cfg):
     return 0.0
 
 
-def refine_estimate(g, cfg, session=None, keep_trace=False):
-    """Sharpen a crude average-degree estimate (batch sampling path).
+def credit_counts(g):
+    """Per-vertex (degree, d_bot, d_plus) as numpy arrays, vectorized.
+
+    Counts are per slot, like the slot draw: a neighbor listed twice counts
+    twice. On a graph without repeated entries they equal `g.degree`,
+    `d_bot` and `d_plus`.
+    """
+    n = g.num_vertices
+    degrees, _, flat = g.flat_adjacency()
+    owner = np.repeat(np.arange(n), degrees)
+    erased = flat == -1
+    du = degrees[owner]
+    dv = degrees[np.where(erased, 0, flat)]
+    above = ~erased & ((du < dv) | ((du == dv) & (owner < flat)))
+    return degrees, np.bincount(owner[erased], minlength=n), np.bincount(owner[above], minlength=n)
+
+
+def _credit_class_table(g):
+    table, count = np.unique(np.stack(credit_counts(g), axis=1), axis=0, return_counts=True)
+    return table[:, 0], table[:, 1], table[:, 2], count
+
+
+def credit_classes(g):
+    """(degree, d_bot, d_plus, vertex count) per distinct credit class of g.
+
+    A credit sample's value and its charged queries depend only on the class
+    of the sampled vertex. Built once per graph and cached on it.
+    """
+    return g.cached(_credit_class_table)
+
+
+def refine_estimate(g, cfg, session=None):
+    """Sharpen a crude average-degree estimate (collapsed batch path).
 
     Draws the configured number of independent credit samples with a
-    seeded numpy generator and returns twice their mean. Query accounting is
-    exact and charged to the session in bulk: one degree query per sample,
-    one neighbor query per non-isolated sample, one extra degree query per
-    non-erased drawn entry.
+    seeded numpy generator and returns twice their mean. The samples are
+    drawn as counts: a multinomial over credit classes, then per class a
+    multinomial over erased, ranked-above and other slots, so the credit sum
+    and the query counts have exactly the joint distribution of per-slot
+    draws. Query accounting is exact and charged to the session in bulk: one
+    degree query per sample, one neighbor query per non-isolated sample, one
+    extra degree query per non-erased drawn entry.
     """
     cfg.validate()
     n = g.num_vertices
     s = sample_count(n, cfg)
     tau = chi_threshold(n, cfg.crude, cfg.epsilon, cfg.threshold_coeff)
-    tau_eff = tau * (1 + _THRESHOLD_RTOL)
-    degrees, offsets, flat = g.flat_adjacency()
+    deg, bot, plus, count = credit_classes(g)
     rng = np.random.default_rng(cfg.seed & (2**64 - 1))
     if session is None:
         session = QuerySession(g, seed=cfg.seed)
 
-    total = 0.0
-    zero_degree = 0
-    nonerased = 0
-    trace = [] if keep_trace else None
-    remaining = s
-    while remaining > 0:
-        batch = min(remaining, _CHUNK)
-        remaining -= batch
-        u = rng.integers(0, n, size=batch)
-        du = degrees[u]
-        nz = du > 0
-        u_nz = u[nz]
-        du_nz = du[nz]
-        zero_degree += batch - int(nz.sum())
-        if u_nz.size:
-            slots = rng.integers(0, du_nz)
-            entries = flat[offsets[u_nz] + slots]
-            erased = entries == -1
-            nonerased += int((~erased).sum())
-            dv = degrees[np.where(erased, 0, entries)]
-            ranked_above = (~erased) & ((du_nz < dv) | ((du_nz == dv) & (u_nz < entries)))
-            chi = np.where((du_nz <= tau_eff) & (erased | ranked_above), du_nz, 0)
-            total += float(chi.sum())
-            if keep_trace:
-                full = np.zeros(batch)
-                full[nz] = chi
-                trace.extend(full.tolist())
-        elif keep_trace:
-            trace.extend([0.0] * batch)
+    drawn = rng.multinomial(s, count / n)
+    # Columns: erased, ranked above, other listed; an isolated vertex's
+    # draws all land in the last column.
+    slot_split = np.stack([bot, plus, deg - bot - plus], axis=1) / np.maximum(deg, 1)[:, None]
+    slot_split[deg == 0, 2] = 1.0
+    erased, above, _ = rng.multinomial(drawn, slot_split).T
+    credited = deg <= tau * (1 + _THRESHOLD_RTOL)
+    total = float(np.dot(deg[credited], (erased + above)[credited]))
+    isolated = int(drawn[deg == 0].sum())
+    nonerased = s - isolated - int(erased.sum())
 
-    session.charge_bulk(degree=s + nonerased, neighbor=s - zero_degree)
+    session.charge_bulk(degree=s + nonerased, neighbor=s - isolated)
     return DegreeEstimate(
         value=2.0 * total / s,
         samples=s,
@@ -191,7 +222,6 @@ def refine_estimate(g, cfg, session=None, keep_trace=False):
         crude=cfg.crude,
         seed=cfg.seed,
         conforming=cfg.conforming,
-        trace=trace,
     )
 
 
@@ -215,10 +245,7 @@ def estimate_avg_degree(
     run gets its own split seed and session.
     """
     n = g.num_vertices
-    if n < 2:
-        raise ValueError("estimation needs at least two vertices")
-    if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2)")
+    check_estimate_parameters(n, epsilon, sample_coeff, rep_coeff, threshold_coeff)
     t = math.ceil(rep_coeff * math.log(4 * math.log2(n)))
     conforming = sample_coeff == SAMPLE_COEFF and rep_coeff == REP_COEFF
     degree_q = 0

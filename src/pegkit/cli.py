@@ -35,11 +35,14 @@ TRIAL_COLUMNS = [
 
 
 def _ratio(text):
-    """Parse a rational given as 'p/q' or a decimal string."""
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+    """Parse a rational given as 'p/q' or a decimal string; ValueError if malformed."""
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def _write_rows(path, rows, fmt, summary=None, plan=None):
@@ -210,7 +213,14 @@ def cmd_test_conn(args):
 
 def cmd_estimate(args):
     g = _load_graph(args)
-    eps = float(_ratio(args.eps))
+    try:
+        eps = float(_ratio(args.eps))
+        avg_degree.check_estimate_parameters(
+            g.num_vertices, eps, sample_coeff=args.sample_coeff, rep_coeff=args.rep_coeff
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = []
     values = []
     for trial in range(args.trials):

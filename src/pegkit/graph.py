@@ -52,7 +52,7 @@ class PartiallyErasedGraph:
     validate cleanly and admit a completion.
     """
 
-    __slots__ = ("_adj", "_n", "_erased_total", "_listed", "_arrays")
+    __slots__ = ("_adj", "_n", "_erased_total", "_listed", "_arrays", "_derived")
 
     def __init__(self, adjacency, num_vertices=None):
         adj = [tuple(row) for row in adjacency]
@@ -75,6 +75,7 @@ class PartiallyErasedGraph:
         self._erased_total = erased
         self._listed = [None] * n
         self._arrays = None
+        self._derived = {}
 
     @property
     def num_vertices(self):
@@ -175,6 +176,17 @@ class PartiallyErasedGraph:
             )
             self._arrays = (degrees, offsets, flat)
         return self._arrays
+
+    def cached(self, build):
+        """build(self), computed on first use and kept with the graph.
+
+        For read-only tables derived from the adjacency lists, keyed by the
+        `build` function; the estimator keeps its credit-class table here.
+        """
+        table = self._derived.get(build)
+        if table is None:
+            table = self._derived[build] = build(self)
+        return table
 
     def __eq__(self, other):
         if not isinstance(other, PartiallyErasedGraph):

@@ -1,5 +1,8 @@
 import math
 import random
+import statistics
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,8 @@ from pegkit.avg_degree import (
     SAMPLE_COEFF,
     chi_sample,
     chi_threshold,
+    credit_classes,
+    credit_counts,
     d_bot,
     d_plus,
     estimate_avg_degree,
@@ -20,7 +25,7 @@ from pegkit.avg_degree import (
 from pegkit.exact import exact_exp_chi
 from pegkit.graph import ERASED, PartiallyErasedGraph, erase_slots
 from pegkit.instances import erase, gen_connected, gen_random_regularish
-from pegkit.oracle import QuerySession
+from pegkit.oracle import QuerySession, split_seed
 
 
 def single_edge():
@@ -142,12 +147,67 @@ def test_sample_count_formula():
     assert sample_count(100, cfg) == expected
 
 
-def test_refine_value_is_twice_mean_of_trace():
-    g = erase(gen_random_regularish(30, 4, seed=7), 0.3, "uniform", seed=8)
-    cfg = DegreeEstimatorConfig(epsilon=0.3, crude=3.0, seed=21, sample_coeff=1.0)
-    est = refine_estimate(g, cfg, keep_trace=True)
-    assert est.samples == len(est.trace)
-    assert est.value == pytest.approx(2 * sum(est.trace) / est.samples)
+def erased_graph_with_isolates(seed):
+    """A small erased graph of mixed degrees plus four isolated vertices."""
+    g = erase(gen_connected(30, 4.0, seed=seed), 0.3, "uniform", seed=seed + 1)
+    return PartiallyErasedGraph([g.entries(u) for u in range(30)], num_vertices=34)
+
+
+def test_credit_classes_match_scalar_reference():
+    for seed in range(6):
+        g = erased_graph_with_isolates(seed)
+        n = g.num_vertices
+        degrees, bots, pluses = credit_counts(g)
+        for u in range(n):
+            assert (degrees[u], bots[u], pluses[u]) == (g.degree(u), d_bot(g, u), d_plus(g, u))
+        deg, bot, plus, count = credit_classes(g)
+        assert int(count.sum()) == n
+        expected = Counter((g.degree(u), d_bot(g, u), d_plus(g, u)) for u in range(n))
+        got = {(int(a), int(b), int(c)): int(k) for a, b, c, k in zip(deg, bot, plus, count)}
+        assert got == expected
+        assert credit_classes(g) is credit_classes(g)
+
+
+def test_refine_matches_scalar_reference_distribution():
+    g = erased_graph_with_isolates(0)
+    n = g.num_vertices
+    # tau ~ 6 drops the vertices of degree 7 to 9 from the credit
+    crude, eps = Fraction(1, 50), Fraction(3, 10)
+    cfg = DegreeEstimatorConfig(epsilon=float(eps), crude=float(crude), sample_coeff=0.05)
+    s = sample_count(n, cfg)
+    tau = chi_threshold(n, cfg.crude, cfg.epsilon)
+    assert 0 < sum(g.degree(u) > tau for u in range(n)) < n
+    nonisolated = [u for u in range(n) if g.degree(u) > 0]
+    expected = (
+        2 * float(exact_exp_chi(g, crude, eps)),
+        s * (1 + sum((g.degree(u) - d_bot(g, u)) / g.degree(u) for u in nonisolated) / n),
+        s * len(nonisolated) / n,
+    )
+    # Per-run standard deviation bounds from the ranges of one sample: the
+    # value's term lies in [0, 2*tau], degree queries in [1, 2], neighbor
+    # queries in [0, 1].
+    sd = (tau / math.sqrt(s), math.sqrt(s) / 2, math.sqrt(s) / 2)
+    runs = 2000
+
+    def worst_z(value, degree_q, neighbor_q):
+        observed = (statistics.fmean(value), statistics.fmean(degree_q), statistics.fmean(neighbor_q))
+        return max(abs(o - e) / (w / math.sqrt(runs)) for o, e, w in zip(observed, expected, sd))
+
+    collapsed = [refine_estimate(g, replace(cfg, seed=split_seed(1, r))) for r in range(runs)]
+    assert all(e.samples == s for e in collapsed)
+    assert worst_z(
+        [e.value for e in collapsed],
+        [e.degree_queries for e in collapsed],
+        [e.neighbor_queries for e in collapsed],
+    ) <= 4
+
+    scalar = ([], [], [])
+    for r in range(runs):
+        session = QuerySession(g, seed=split_seed(2, r))
+        scalar[0].append(2 * sum(chi_sample(session, cfg) for _ in range(s)) / s)
+        scalar[1].append(session.degree_queries)
+        scalar[2].append(session.neighbor_queries)
+    assert worst_z(*scalar) <= 4
 
 
 def test_refine_accounting_no_isolates_no_erasures():
@@ -184,6 +244,10 @@ def test_refine_validates_config():
         refine_estimate(g, DegreeEstimatorConfig(epsilon=0.25, crude=None))
     with pytest.raises(ValueError):
         refine_estimate(g, DegreeEstimatorConfig(epsilon=0.25, delta=0.5, crude=1.0))
+    for coeffs in ({"sample_coeff": 0.0}, {"sample_coeff": -5.0}, {"threshold_coeff": 0.0},
+                   {"sample_coeff": math.inf}, {"threshold_coeff": math.nan}):
+        with pytest.raises(ValueError, match="must be a positive finite number"):
+            refine_estimate(g, DegreeEstimatorConfig(epsilon=0.25, crude=1.0, **coeffs))
 
 
 def test_conforming_flag():
@@ -225,6 +289,10 @@ def test_estimator_requires_valid_input():
         estimate_avg_degree(PartiallyErasedGraph([[]]), 0.25)
     with pytest.raises(ValueError):
         estimate_avg_degree(single_edge(), 0.6)
+    for coeffs in ({"sample_coeff": 0.0}, {"sample_coeff": -5.0}, {"rep_coeff": 0.0},
+                   {"rep_coeff": -1.0}, {"threshold_coeff": 0.0}):
+        with pytest.raises(ValueError, match="must be a positive finite number"):
+            estimate_avg_degree(single_edge(), 0.25, **coeffs)
 
 
 def test_estimator_is_deterministic_in_the_seed():

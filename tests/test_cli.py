@@ -3,7 +3,7 @@ import json
 import pytest
 
 from pegkit.cli import main
-from pegkit.graph import load_peg
+from pegkit.graph import PartiallyErasedGraph, load_peg, save_peg
 
 
 def run(capsys, *argv):
@@ -139,3 +139,35 @@ def test_missing_graph_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--graph", "/nonexistent.peg", "--what", "validate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--eps", "0.7"], "epsilon must lie in (0, 1/2)"),
+        (["--eps", "abc"], "not a rational number: 'abc'"),
+        (["--eps", "1/0"], "not a rational number: '1/0'"),
+        (["--eps", "0.25", "--sample-coeff", "0"], "sample_coeff must be a positive"),
+        (["--eps", "0.25", "--sample-coeff", "-5"], "sample_coeff must be a positive"),
+        (["--eps", "0.25", "--sample-coeff", "nan"], "sample_coeff must be a positive"),
+        (["--eps", "0.25", "--rep-coeff", "0"], "rep_coeff must be a positive"),
+    ],
+)
+def test_estimate_parameter_errors_exit_2(tmp_path, capsys, extra, message):
+    peg = tmp_path / "r.peg"
+    run(capsys, "gen", "--family", "regularish", "--n", "40", "--davg", "3",
+        "--seed", "1", "--out", str(peg))
+    out = tmp_path / "est.json"
+    code, stdout, err = run(capsys, "estimate", "--graph", str(peg), "--out", str(out), *extra)
+    assert code == 2
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_estimate_on_single_vertex_exits_2(tmp_path, capsys):
+    peg = tmp_path / "one.peg"
+    save_peg(PartiallyErasedGraph([[]]), str(peg))
+    code, _, err = run(capsys, "estimate", "--graph", str(peg), "--eps", "0.25")
+    assert code == 2
+    assert err == "error: estimation needs at least two vertices\n"
