@@ -72,6 +72,15 @@ def check_estimate_parameters(
         raise ValueError("estimation needs at least two vertices")
     _check_epsilon(epsilon)
     _check_positive(sample_coeff=sample_coeff, rep_coeff=rep_coeff, threshold_coeff=threshold_coeff)
+    # The last level's crude value n/2^ceil(log2 n) is the smallest, so its
+    # refinements draw the most samples; numpy's multinomial needs an int64.
+    crude = n / 2 ** math.ceil(math.log2(n))
+    s = sample_count(n, DegreeEstimatorConfig(epsilon, crude=crude, sample_coeff=sample_coeff))
+    if s > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"sample_coeff {sample_coeff} is too large: a refinement would draw "
+            f"{s} samples, more than int64 holds"
+        )
 
 
 @dataclass

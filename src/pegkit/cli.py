@@ -34,24 +34,28 @@ TRIAL_COLUMNS = [
 ]
 
 
+class UsageError(ValueError):
+    """A malformed command-line argument; `main` reports it and exits 2."""
+
+
 def _ratio(text):
-    """Parse a rational given as 'p/q' or a decimal string; ValueError if malformed."""
+    """Parse a rational given as 'p/q' or a decimal string; UsageError if malformed."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a rational number: {text!r}") from None
+        raise UsageError(f"not a rational number: {text!r}") from None
 
 
-def _write_rows(path, rows, fmt, summary=None, plan=None):
+def _write_rows(path, rows, fmt, summary=None, plan=None, columns=TRIAL_COLUMNS):
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=TRIAL_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         for r in rows:
-            writer.writerow({k: r.get(k, "") for k in TRIAL_COLUMNS})
+            writer.writerow({k: r.get(k, "") for k in columns})
         text = buf.getvalue()
     else:
         payload = {"plan": plan, "trials": rows}
@@ -342,18 +346,7 @@ def cmd_bench(args):
             r_out = {"sweep_param": param, "sweep_value": value}
             r_out.update(r)
             rows.append(r_out)
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["sweep_param", "sweep_value"] + TRIAL_COLUMNS, lineterminator="\n"
-    )
-    writer.writeheader()
-    for r in rows:
-        writer.writerow({k: r.get(k, "") for k in ["sweep_param", "sweep_value"] + TRIAL_COLUMNS})
-    if args.out in (None, "-"):
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
+    _write_rows(args.out, rows, "csv", columns=["sweep_param", "sweep_value"] + TRIAL_COLUMNS)
     return 0
 
 
@@ -443,7 +436,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

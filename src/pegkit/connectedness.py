@@ -1,16 +1,19 @@
 """Connectedness testers over partially erased graphs.
 
-Four randomized testers share one BFS primitive:
+Four randomized testers share one BFS primitive, `bfs_until`: a search from
+one vertex under a vertex or entry cap. Three of them also share one search
+runner, `_search_levels`, which samples start vertices level by level and
+stops at the first erasure-free witness or when the budget is spent; they
+differ only in the level schedule they pass and the budget they set:
 
   tester_small_alpha   known average degree, erasure fraction below eps/2;
-                       looks for erasure-free witness components under a
-                       work-investment schedule, with a hard query cap at six
-                       times the schedule's expected cost.
-  tester_mid_alpha     known average degree, erasure fraction below eps;
-                       looks for generalized witnesses (at most one erasure).
-  tester_no_erasures   known average degree, no erasures.
-  tester_unknown_davg  average degree unknown; doubling schedule under a
+                       a hard query cap at six times the schedule's cost.
+  tester_no_erasures   known average degree, no erasures; no budget.
+  tester_unknown_davg  average degree unknown; a doubling schedule under a
                        fixed neighbor-query budget.
+  tester_mid_alpha     known average degree, erasure fraction below eps;
+                       single searches under one entry cap that look for
+                       generalized witnesses (at most one erasure).
 
 All four have 1-sided error: a graph with a connected completion is never
 rejected. A reject always carries the witness that certifies every
@@ -19,11 +22,12 @@ completion disconnected.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import ERASED
+from .graph import ERASED, closure
 from .oracle import BudgetExhausted, QuerySession
 
 LN3 = math.log(3)
@@ -44,13 +48,6 @@ class VertexCap:
 @dataclass(frozen=True)
 class EdgeCap:
     """Stop once this many adjacency entries have been scanned."""
-
-    limit: int
-
-
-@dataclass(frozen=True)
-class QueryCap:
-    """Stop once this many neighbor queries have been charged by the BFS."""
 
     limit: int
 
@@ -89,16 +86,17 @@ class WitnessReport:
 def bfs_until(session, start, stop, halt_on_erasure=False, start_degree=None):
     """BFS from `start` over non-erased entries until a stop condition.
 
-    stop is a VertexCap, EdgeCap, or QueryCap. Each scanned entry costs one
-    neighbor query, so EdgeCap and QueryCap coincide; VertexCap stops the
-    moment the limit-th distinct vertex is discovered. With halt_on_erasure
-    the search stops at the first erased entry. A budget-exhausted session
-    shows up as a truncated outcome with budget_hit set.
+    stop is a VertexCap or an EdgeCap. Each scanned entry costs one neighbor
+    query, so an EdgeCap also caps the neighbor queries the search charges;
+    VertexCap stops the moment the limit-th distinct vertex is discovered.
+    With halt_on_erasure the search stops at the first erased entry. A
+    budget-exhausted session shows up as a truncated outcome with budget_hit
+    set.
 
     start_degree lets the caller pass a degree it already paid a query for.
     """
     vertex_cap = stop.limit if isinstance(stop, VertexCap) else None
-    entry_cap = stop.limit if isinstance(stop, (EdgeCap, QueryCap)) else None
+    entry_cap = stop.limit if isinstance(stop, EdgeCap) else None
     out = BfsOutcome(
         start=start,
         graph_n=session.graph.num_vertices,
@@ -187,22 +185,9 @@ def detect_generalized_witness(outcome):
             continue
         if holder not in outcome.lists.get(v, ()):
             continue
-        if _replay_reach(outcome.lists, v) == C:
+        if closure(v, lambda u: outcome.lists.get(u, ())) == C:
             return WitnessReport("generalized", frozenset(C), anchor=v)
     return None
-
-
-def _replay_reach(lists, start):
-    """Reachable set from `start` over cached rows, following non-erased entries."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for e in lists.get(u, ()):
-            if e is not ERASED and e not in seen:
-                seen.add(e)
-                queue.append(e)
-    return seen
 
 
 @dataclass
@@ -283,6 +268,48 @@ def _check_known_davg_params(epsilon, alpha, davg, alpha_limit_factor):
         raise ValueError(f"alpha must lie in [0, {epsilon * alpha_limit_factor})")
 
 
+def _search_levels(session, levels, vertex_case=False):
+    """Run the capped searches of a level schedule. -> (witness, aborted).
+
+    levels yields (i, reps): at level i, reps searches each start from a
+    uniform vertex and halt on erasures, capped at 2^i + 1 vertices in the
+    vertex case and otherwise at 2^(i-1) * deg + 1 scanned entries. The run
+    stops at the first erasure-free witness, or aborts with no witness once
+    the session's budget is spent.
+    """
+    for i, reps in levels:
+        for _ in range(reps):
+            if session.exhausted:
+                return None, True
+            v = session.random_vertex()
+            if vertex_case:
+                out = bfs_until(session, v, VertexCap(2**i + 1), halt_on_erasure=True)
+            else:
+                d = session.degree(v)
+                out = bfs_until(
+                    session, v, EdgeCap(2 ** (i - 1) * d + 1), halt_on_erasure=True, start_degree=d
+                )
+            if out.budget_hit:
+                return None, True
+            witness = detect_plain_witness(out)
+            if witness is not None:
+                return witness, False
+    return None, False
+
+
+def _verdict(session, witness, cap, params, aborted=False):
+    return TesterVerdict(
+        accepted=witness is None,
+        witness=witness,
+        degree_queries=session.degree_queries,
+        neighbor_queries=session.neighbor_queries,
+        cap=cap,
+        seed=session.seed,
+        params=params,
+        aborted=aborted,
+    )
+
+
 def tester_small_alpha(g, cfg):
     """Connectedness tester for erasure fractions below eps/2.
 
@@ -294,7 +321,6 @@ def tester_small_alpha(g, cfg):
     _check_known_davg_params(cfg.epsilon, cfg.alpha, cfg.davg, 0.5)
     b = witness_size_bound(cfg.epsilon, cfg.alpha, cfg.davg)
     vertex_case = small_alpha_uses_vertex_cap(b, cfg.davg)
-    schedule = small_alpha_schedule(b)
     cap = small_alpha_query_cap(cfg.epsilon, cfg.alpha, cfg.davg)
     session = QuerySession(g, seed=cfg.seed, budget=cap, budget_counts="both")
     params = {
@@ -305,47 +331,8 @@ def tester_small_alpha(g, cfg):
         "b": b,
         "case": "vertex" if vertex_case else "edge",
     }
-    witness = None
-    aborted = False
-    try:
-        for i, reps in schedule:
-            for _ in range(reps):
-                v = session.random_vertex()
-                if vertex_case:
-                    out = bfs_until(session, v, VertexCap(2**i + 1), halt_on_erasure=True)
-                else:
-                    d = session.degree(v)
-                    out = bfs_until(
-                        session,
-                        v,
-                        EdgeCap(2 ** (i - 1) * d + 1),
-                        halt_on_erasure=True,
-                        start_degree=d,
-                    )
-                if out.budget_hit:
-                    raise BudgetExhausted
-                witness = detect_plain_witness(out)
-                if witness is not None:
-                    raise _Found
-    except BudgetExhausted:
-        aborted = True
-        witness = None
-    except _Found:
-        pass
-    return TesterVerdict(
-        accepted=witness is None,
-        witness=witness,
-        degree_queries=session.degree_queries,
-        neighbor_queries=session.neighbor_queries,
-        cap=cap,
-        seed=cfg.seed,
-        params=params,
-        aborted=aborted,
-    )
-
-
-class _Found(Exception):
-    pass
+    witness, aborted = _search_levels(session, small_alpha_schedule(b), vertex_case)
+    return _verdict(session, witness, cap, params, aborted)
 
 
 def mid_alpha_bfs_cap(epsilon, alpha, davg):
@@ -381,19 +368,11 @@ def tester_mid_alpha(g, cfg):
     witness = None
     for _ in range(reps):
         s = session.random_vertex()
-        out = bfs_until(session, s, QueryCap(qcap), halt_on_erasure=False)
+        out = bfs_until(session, s, EdgeCap(qcap), halt_on_erasure=False)
         witness = detect_generalized_witness(out)
         if witness is not None:
             break
-    return TesterVerdict(
-        accepted=witness is None,
-        witness=witness,
-        degree_queries=session.degree_queries,
-        neighbor_queries=session.neighbor_queries,
-        cap=None,
-        seed=cfg.seed,
-        params=params,
-    )
+    return _verdict(session, witness, None, params)
 
 
 def tester_no_erasures(g, cfg):
@@ -409,28 +388,9 @@ def tester_no_erasures(g, cfg):
         "davg": cfg.davg,
         "levels": t,
     }
-    witness = None
-    for i in range(1, t + 1):
-        for _ in range(math.ceil(2 ** (t - i) * LN6)):
-            v = session.random_vertex()
-            d = session.degree(v)
-            out = bfs_until(
-                session, v, EdgeCap(2 ** (i - 1) * d + 1), halt_on_erasure=True, start_degree=d
-            )
-            witness = detect_plain_witness(out)
-            if witness is not None:
-                break
-        if witness is not None:
-            break
-    return TesterVerdict(
-        accepted=witness is None,
-        witness=witness,
-        degree_queries=session.degree_queries,
-        neighbor_queries=session.neighbor_queries,
-        cap=None,
-        seed=cfg.seed,
-        params=params,
-    )
+    levels = [(i, math.ceil(2 ** (t - i) * LN6)) for i in range(1, t + 1)]
+    witness, _ = _search_levels(session, levels)
+    return _verdict(session, witness, None, params)
 
 
 def unknown_davg_budget(epsilon):
@@ -461,42 +421,11 @@ def tester_unknown_davg(g, epsilon, seed=0, alpha=0.0):
     }
     session = QuerySession(g, seed=seed, budget=budget, budget_counts="neighbor")
     if g.num_vertices == 1:
-        return TesterVerdict(True, None, 0, 0, budget, seed, params)
-    witness = None
-    aborted = False
-    t = 0
-    try:
-        while witness is None:
-            t += 1
-            for i in range(1, t + 1):
-                for _ in range(math.ceil(2 ** max(t - i - 1, 0) * LN6)):
-                    if session.exhausted:
-                        raise BudgetExhausted
-                    v = session.random_vertex()
-                    d = session.degree(v)
-                    out = bfs_until(
-                        session,
-                        v,
-                        EdgeCap(2 ** (i - 1) * d + 1),
-                        halt_on_erasure=True,
-                        start_degree=d,
-                    )
-                    if out.budget_hit:
-                        raise BudgetExhausted
-                    witness = detect_plain_witness(out)
-                    if witness is not None:
-                        raise _Found
-    except BudgetExhausted:
-        aborted = True
-    except _Found:
-        pass
-    return TesterVerdict(
-        accepted=witness is None,
-        witness=witness,
-        degree_queries=session.degree_queries,
-        neighbor_queries=session.neighbor_queries,
-        cap=budget,
-        seed=seed,
-        params=params,
-        aborted=aborted,
+        return _verdict(session, None, budget, params)
+    levels = (
+        (i, math.ceil(2 ** max(t - i - 1, 0) * LN6))
+        for t in itertools.count(1)
+        for i in range(1, t + 1)
     )
+    witness, aborted = _search_levels(session, levels)
+    return _verdict(session, witness, budget, params, aborted)

@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .avg_degree import d_bot, d_plus
 from .connectedness import (
+    LN3,
     mid_alpha_bfs_cap,
     small_alpha_schedule,
     small_alpha_uses_vertex_cap,
     witness_size_bound,
 )
-from .graph import Completion, validate
-
-LN3 = math.log(3)
+from .graph import Completion, closure, validate
 
 
 class Uncompletable(ValueError):
@@ -153,22 +151,13 @@ def components(g):
         for w in g.listed(u):
             adj[u].add(w)
             adj[w].add(u)
-    seen = [False] * n
+    seen = set()
     comps = []
     for s in range(n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
+        if s not in seen:
+            comp = closure(s, adj.__getitem__)
+            seen |= comp
+            comps.append(frozenset(comp))
     return comps
 
 
@@ -188,15 +177,7 @@ def distance_to_connectedness(g, slot_bound=20):
 
 def reach_listed(g, start):
     """Vertices reachable from start by following non-erased entries."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in g.listed(u):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    return frozenset(closure(start, g.listed))
 
 
 @dataclass
@@ -226,17 +207,10 @@ def inventory_witnesses(g):
     anchor.
     """
     n = g.num_vertices
-    reach = {}
-
-    def get_reach(v):
-        if v not in reach:
-            reach[v] = reach_listed(g, v)
-        return reach[v]
-
+    reach = [reach_listed(g, v) for v in range(n)]
     plain = set()
     generalized = {}
-    for v in range(n):
-        C = get_reach(v)
+    for C in reach:
         if len(C) >= n:
             continue
         erasures = sum(g.erased_count(u) for u in C)
@@ -253,7 +227,7 @@ def inventory_witnesses(g):
                 if w != holder
                 and w not in listed_holder
                 and holder in g.listed(w)
-                and get_reach(w) == C
+                and reach[w] == C
             }
             if anchors:
                 generalized.setdefault(C, set()).update(anchors)
@@ -409,35 +383,16 @@ def small_alpha_rejection_probability(g, epsilon, alpha, davg):
     return 1.0 - accept
 
 
-def _generalized_detector_fires(g, C):
-    """Mirror of the tester-side check on a fully scanned closure C."""
-    if len(C) >= g.num_vertices:
-        return False
-    erasures = sum(g.erased_count(u) for u in C)
-    if erasures > 1:
-        return False
-    if erasures == 0:
-        return True
-    holder = _erasure_holder(g, C)
-    listed_holder = g.listed(holder)
-    return any(
-        w != holder
-        and w not in listed_holder
-        and holder in g.listed(w)
-        and reach_listed(g, w) == C
-        for w in C
-    )
-
-
 def mid_alpha_rejection_probability(g, epsilon, alpha, davg):
     n = g.num_vertices
     b = 4.0 / ((epsilon - alpha) * davg)
     reps = math.ceil(b * LN3)
     qcap = mid_alpha_bfs_cap(epsilon, alpha, davg)
+    witnesses = set(inventory_witnesses(g).generalized_sets())
     detected = 0
     for s in range(n):
         C = reach_listed(g, s)
-        if sum(g.degree(v) for v in C) <= qcap and _generalized_detector_fires(g, C):
+        if C in witnesses and sum(g.degree(v) for v in C) <= qcap:
             detected += 1
     p = detected / n
     return 1.0 - (1.0 - p) ** reps

@@ -12,6 +12,7 @@ derived as half the total list length, never stored separately.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -315,6 +316,21 @@ def erase_slots(g, slots):
     for u, i in slots:
         rows[u][i] = ERASED
     return PartiallyErasedGraph(rows)
+
+
+def closure(start, links):
+    """Vertices reachable from `start`, as a set, by BFS over non-erased entries.
+
+    links(u) returns the entries to follow from u: a list row or a set.
+    """
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for e in links(queue.popleft()):
+            if e is not ERASED and e not in seen:
+                seen.add(e)
+                queue.append(e)
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,13 @@ class InfeasibleParameters(ValueError):
     """The requested family parameters admit no instance."""
 
 
+class _FamilyParams(dict):
+    """Family parameters; a missing required one names its command-line flag."""
+
+    def __missing__(self, key):
+        raise InfeasibleParameters(f"missing parameter --{key.replace('_', '-')}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -368,7 +375,7 @@ def erase(g, alpha, strategy="uniform", seed=0):
 def generate(spec):
     """Build an instance from a FamilySpec. Returns (graph, manifest)."""
     fam = spec.family
-    p = dict(spec.params)
+    p = _FamilyParams(spec.params)
     extra = {}
     if fam == "gplus":
         g = gen_gplus(p["eps"], p["k"], spec.seed)

@@ -32,14 +32,14 @@ class QuerySession:
 
     budget:        optional cap; a query that would be answered at or past
                    the cap raises BudgetExhausted instead (and is not counted).
-    budget_counts: which counters the budget applies to:
-                   "both" (default), "neighbor", or "degree".
+    budget_counts: which counters the budget applies to: "both" (default)
+                   or "neighbor".
     trace:         optional file-like object; each answered query appends a
                    line `D u` or `N u i -> ans` (ans is `*` for erased).
     """
 
     def __init__(self, graph, seed=0, budget=None, budget_counts="both", trace=None):
-        if budget_counts not in ("both", "neighbor", "degree"):
+        if budget_counts not in ("both", "neighbor"):
             raise ValueError(f"bad budget_counts {budget_counts!r}")
         self.graph = graph
         self.seed = seed
@@ -54,9 +54,7 @@ class QuerySession:
     def _budgeted(self):
         if self.budget_counts == "both":
             return self.degree_queries + self.neighbor_queries
-        if self.budget_counts == "neighbor":
-            return self.neighbor_queries
-        return self.degree_queries
+        return self.neighbor_queries
 
     @property
     def exhausted(self):
@@ -110,11 +108,7 @@ class QuerySession:
         cross the cap.
         """
         if self.budget is not None:
-            add = 0
-            if self.budget_counts in ("both", "degree"):
-                add += degree
-            if self.budget_counts in ("both", "neighbor"):
-                add += neighbor
+            add = neighbor + (degree if self.budget_counts == "both" else 0)
             if self._budgeted() + add > self.budget:
                 raise BudgetExhausted(f"bulk charge of {add} exceeds budget {self.budget}")
         self.degree_queries += degree

@@ -39,6 +39,12 @@ def test_gen_infeasible_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "infeasible" in err
+    code, _, err = run(
+        capsys, "gen", "--family", "gminus", "--eps", "1/7", "--out", str(tmp_path / "x.peg")
+    )
+    assert code == 2
+    assert err == "error: infeasible parameters: missing parameter --k\n"
+    assert not (tmp_path / "x.peg").exists()
 
 
 def test_test_conn_is_reproducible_and_accepting(tmp_path, capsys):
@@ -151,6 +157,7 @@ def test_missing_graph_exits_2(capsys):
         (["--eps", "0.25", "--sample-coeff", "-5"], "sample_coeff must be a positive"),
         (["--eps", "0.25", "--sample-coeff", "nan"], "sample_coeff must be a positive"),
         (["--eps", "0.25", "--rep-coeff", "0"], "rep_coeff must be a positive"),
+        (["--eps", "0.25", "--sample-coeff", "1e30"], "sample_coeff 1e+30 is too large"),
     ],
 )
 def test_estimate_parameter_errors_exit_2(tmp_path, capsys, extra, message):
@@ -171,3 +178,23 @@ def test_estimate_on_single_vertex_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "estimate", "--graph", str(peg), "--eps", "0.25")
     assert code == 2
     assert err == "error: estimation needs at least two vertices\n"
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["test-conn", "--algo", "mid-alpha", "--eps", "abc"], "abc"),
+        (["gen", "--family", "connected", "--n", "10", "--davg", "1/0"], "1/0"),
+        (["bench", "--algo", "mid-alpha", "--sweep", "eps=abc"], "abc"),
+        (["exact", "--what", "exp-chi", "--dhat", "abc", "--eps", "0.25"], "abc"),
+    ],
+)
+def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
+    peg = tmp_path / "p.peg"
+    save_peg(PartiallyErasedGraph([[1], [0, 2], [1]]), str(peg))
+    target = ["--out", str(tmp_path / "x.peg")] if argv[0] == "gen" else ["--graph", str(peg)]
+    code, stdout, err = run(capsys, *argv, *target)
+    assert code == 2
+    assert err == f"error: not a rational number: {bad!r}\n"
+    assert stdout == ""
+    assert not (tmp_path / "x.peg").exists()

@@ -5,7 +5,6 @@ import pytest
 from pegkit.connectedness import (
     ConnTesterConfig,
     EdgeCap,
-    QueryCap,
     VertexCap,
     bfs_until,
     detect_generalized_witness,
@@ -85,7 +84,7 @@ def test_bfs_budget_exhaustion_marks_truncated():
 def test_bfs_query_cap_counts_scanned_entries():
     g = two_triangles()
     s = QuerySession(g, seed=0)
-    out = bfs_until(s, 0, QueryCap(4))
+    out = bfs_until(s, 0, EdgeCap(4))
     assert out.truncated
     assert out.entries_scanned == 4
     assert s.neighbor_queries == 4
@@ -126,13 +125,13 @@ def anchored_chain():
 
 def test_generalized_witness_found_only_from_anchor():
     g = anchored_chain()
-    out = bfs_until(QuerySession(g, seed=0), 0, QueryCap(50))
+    out = bfs_until(QuerySession(g, seed=0), 0, EdgeCap(50))
     w = detect_generalized_witness(out)
     assert w is not None and w.kind == "generalized"
     assert w.vertices == frozenset({0, 1, 2})
     assert w.anchor == 0
     for start in (1, 2):
-        out = bfs_until(QuerySession(g, seed=0), start, QueryCap(50))
+        out = bfs_until(QuerySession(g, seed=0), start, EdgeCap(50))
         assert detect_generalized_witness(out) is None
 
 
@@ -140,13 +139,13 @@ def test_two_erasure_component_defeats_every_start():
     # forced 4-cycle with two half-erased edges, plus a separate pair
     g = PartiallyErasedGraph([[1, 3], [ERASED, 2], [1, 3], [ERASED, 0], [5], [4]])
     for start in range(4):
-        out = bfs_until(QuerySession(g, seed=0), start, QueryCap(100))
+        out = bfs_until(QuerySession(g, seed=0), start, EdgeCap(100))
         assert detect_plain_witness(out) is None
         assert detect_generalized_witness(out) is None
 
 
 def test_zero_erasure_closure_is_generalized_witness_without_anchor():
-    out = bfs_until(QuerySession(two_triangles(), seed=0), 0, QueryCap(50))
+    out = bfs_until(QuerySession(two_triangles(), seed=0), 0, EdgeCap(50))
     w = detect_generalized_witness(out)
     assert w is not None and w.anchor is None
 
@@ -303,6 +302,19 @@ def test_small_alpha_cap_is_n_independent():
             v = tester_small_alpha(g, ConnTesterConfig(0.2, 0.05, 2.0, seed))
             assert v.degree_queries + v.neighbor_queries <= cap
             assert v.cap == cap
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.3])
+def test_small_alpha_aborts_at_its_query_cap(eps):
+    # With davg misreported as 0.1 the cap prices searches about 30 times
+    # below their cost at the true davg of 3, and a connected graph has no
+    # witness to stop early on, so every run spends the whole cap.
+    g = gen_connected(2000, 3.0, seed=5)
+    cap = small_alpha_query_cap(eps, 0.0, 0.1)
+    for seed in range(40):
+        v = tester_small_alpha(g, ConnTesterConfig(eps, 0.0, 0.1, seed))
+        assert v.aborted and v.accepted and v.witness is None
+        assert v.cap == cap == v.degree_queries + v.neighbor_queries
 
 
 def test_unknown_davg_budget_value():

@@ -15,6 +15,7 @@ from pegkit.exact import (
     high_degree_set,
     inventory_witnesses,
     is_small,
+    mid_alpha_rejection_probability,
     quality_edge_variant,
     quality_vertex_variant,
     reach_listed,
@@ -148,6 +149,15 @@ def test_inventory_fig_gadgets():
     inv = inventory_witnesses(fig2.graph)
     anchors = dict(inv.generalized).get(fig2.gadget_vertices)
     assert anchors is not None and len(anchors) == 1
+
+
+def test_mid_alpha_rejection_probability_counts_anchor_starts():
+    # The gadget is a generalized witness of 3 vertices, but only a search
+    # from its single anchor certifies it: 1 detecting start out of 27.
+    g = gen_fig_component("one-erasure-anchored", seed=3).graph
+    assert g.num_vertices == 27
+    p = mid_alpha_rejection_probability(g, 0.3, 0.02, g.avg_degree)
+    assert p == 1 - (1 - 1 / 27) ** 9
 
 
 def test_plain_witnesses_are_generalized_too():
