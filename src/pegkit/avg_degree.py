@@ -31,6 +31,8 @@ THRESHOLD_COEFF = 4.0
 
 # Relative slack for the floating-point degree-threshold comparison.
 _THRESHOLD_RTOL = 1e-12
+# numpy's multinomial needs the sample count in an int64.
+_MAX_SAMPLES = np.iinfo(np.int64).max
 
 def precedes(g, u, v):
     """Strict total vertex order: degree first, id as tie-break."""
@@ -53,34 +55,48 @@ def chi_threshold(n, crude, epsilon, coeff=THRESHOLD_COEFF):
     return coeff * math.sqrt(n * crude / epsilon)
 
 
-def _check_epsilon(epsilon):
+def check_parameters(
+    n,
+    epsilon,
+    crude=None,
+    delta=0.25,
+    sample_coeff=SAMPLE_COEFF,
+    rep_coeff=REP_COEFF,
+    threshold_coeff=THRESHOLD_COEFF,
+):
+    """Raise ValueError unless the estimator can run on n vertices with these parameters.
+
+    Every estimator parameter rule is written here once. `crude` is one
+    refinement's crude estimate; without it the parameters are checked for a
+    whole `estimate_avg_degree` search, which needs two vertices and whose
+    last crude value n/2^ceil(log2 n) is its smallest, so that level's
+    refinements draw the most samples.
+    """
+    if crude is None:
+        if n < 2:
+            raise ValueError("estimation needs at least two vertices")
+        crude = n / 2 ** math.ceil(math.log2(n))
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
-
-
-def _check_positive(**coeffs):
+    if not 0 < delta < 1 / 3:
+        raise ValueError("delta must lie in (0, 1/3)")
+    if not crude > 0:
+        raise ValueError("a positive crude estimate is required")
+    coeffs = {"sample_coeff": sample_coeff, "rep_coeff": rep_coeff, "threshold_coeff": threshold_coeff}
     for name, value in coeffs.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite number, got {value}")
-
-
-def check_estimate_parameters(
-    n, epsilon, sample_coeff=SAMPLE_COEFF, rep_coeff=REP_COEFF, threshold_coeff=THRESHOLD_COEFF
-):
-    """Raise ValueError unless `estimate_avg_degree` can run with these arguments."""
-    if n < 2:
-        raise ValueError("estimation needs at least two vertices")
-    _check_epsilon(epsilon)
-    _check_positive(sample_coeff=sample_coeff, rep_coeff=rep_coeff, threshold_coeff=threshold_coeff)
-    # The last level's crude value n/2^ceil(log2 n) is the smallest, so its
-    # refinements draw the most samples; numpy's multinomial needs an int64.
-    crude = n / 2 ** math.ceil(math.log2(n))
-    s = sample_count(n, DegreeEstimatorConfig(epsilon, crude=crude, sample_coeff=sample_coeff))
-    if s > np.iinfo(np.int64).max:
+    s = sample_count(n, DegreeEstimatorConfig(epsilon, delta, crude, sample_coeff=sample_coeff))
+    if s > _MAX_SAMPLES:
         raise ValueError(
             f"sample_coeff {sample_coeff} is too large: a refinement would draw "
             f"{s} samples, more than int64 holds"
         )
+
+
+def is_conforming(sample_coeff=SAMPLE_COEFF, rep_coeff=REP_COEFF, threshold_coeff=THRESHOLD_COEFF):
+    """True when every coefficient is at its analyzed default."""
+    return (sample_coeff, rep_coeff, threshold_coeff) == (SAMPLE_COEFF, REP_COEFF, THRESHOLD_COEFF)
 
 
 @dataclass
@@ -94,15 +110,15 @@ class DegreeEstimatorConfig:
 
     @property
     def conforming(self):
-        return self.sample_coeff == SAMPLE_COEFF and self.threshold_coeff == THRESHOLD_COEFF
+        return is_conforming(self.sample_coeff, threshold_coeff=self.threshold_coeff)
 
-    def validate(self):
-        _check_epsilon(self.epsilon)
-        if not 0 < self.delta < 1 / 3:
-            raise ValueError("delta must lie in (0, 1/3)")
-        if self.crude is None or self.crude <= 0:
-            raise ValueError("a positive crude estimate is required")
-        _check_positive(sample_coeff=self.sample_coeff, threshold_coeff=self.threshold_coeff)
+    def validate(self, n):
+        """Raise ValueError unless a refinement on n vertices can run with this config."""
+        # A missing crude value reaches the check as 0 and is rejected there.
+        check_parameters(
+            n, self.epsilon, self.crude or 0.0, self.delta, self.sample_coeff,
+            threshold_coeff=self.threshold_coeff,
+        )
 
 
 @dataclass
@@ -200,9 +216,10 @@ def refine_estimate(g, cfg, session=None):
     and the query counts have exactly the joint distribution of per-slot
     draws. Query accounting is exact and charged to the session in bulk: one
     degree query per sample, one neighbor query per non-isolated sample, one
-    extra degree query per non-erased drawn entry.
+    extra degree query per non-erased drawn entry. The returned estimate
+    counts the queries of this refinement alone.
     """
-    cfg.validate()
+    cfg.validate(g.num_vertices)
     n = g.num_vertices
     s = sample_count(n, cfg)
     tau = chi_threshold(n, cfg.crude, cfg.epsilon, cfg.threshold_coeff)
@@ -220,14 +237,15 @@ def refine_estimate(g, cfg, session=None):
     credited = deg <= tau * (1 + _THRESHOLD_RTOL)
     total = float(np.dot(deg[credited], (erased + above)[credited]))
     isolated = int(drawn[deg == 0].sum())
-    nonerased = s - isolated - int(erased.sum())
+    degree = 2 * s - isolated - int(erased.sum())
+    neighbor = s - isolated
 
-    session.charge_bulk(degree=s + nonerased, neighbor=s - isolated)
+    session.charge_bulk(degree=degree, neighbor=neighbor)
     return DegreeEstimate(
         value=2.0 * total / s,
         samples=s,
-        degree_queries=session.degree_queries,
-        neighbor_queries=session.neighbor_queries,
+        degree_queries=degree,
+        neighbor_queries=neighbor,
         crude=cfg.crude,
         seed=cfg.seed,
         conforming=cfg.conforming,
@@ -251,53 +269,42 @@ def estimate_avg_degree(
     For i = 0..ceil(log2 n) runs the refinement repeatedly at crude = n/2^i
     (kept as an exact real) and takes the lower median; returns the first
     median that exceeds its crude input, or 1 if none does. Each refinement
-    run gets its own split seed and session.
+    run gets its own split seed; all of them charge one session, whose
+    totals the estimate reports.
     """
     n = g.num_vertices
-    check_estimate_parameters(n, epsilon, sample_coeff, rep_coeff, threshold_coeff)
+    check_parameters(
+        n, epsilon, sample_coeff=sample_coeff, rep_coeff=rep_coeff, threshold_coeff=threshold_coeff
+    )
     t = math.ceil(rep_coeff * math.log(4 * math.log2(n)))
-    conforming = sample_coeff == SAMPLE_COEFF and rep_coeff == REP_COEFF
-    degree_q = 0
-    neighbor_q = 0
+    session = QuerySession(g, seed=seed)
     samples = 0
-    run_idx = 0
+    value, crude, level = 1.0, None, None
     for i in range(math.ceil(math.log2(n)) + 1):
-        crude = n / 2**i
+        level_crude = n / 2**i
         values = []
-        for _ in range(t):
+        for j in range(t):
             cfg = DegreeEstimatorConfig(
                 epsilon=epsilon,
-                delta=0.25,
-                crude=crude,
-                seed=split_seed(seed, run_idx),
+                crude=level_crude,
+                seed=split_seed(seed, i * t + j),
                 sample_coeff=sample_coeff,
                 threshold_coeff=threshold_coeff,
             )
-            run_idx += 1
-            est = refine_estimate(g, cfg)
+            est = refine_estimate(g, cfg, session)
             values.append(est.value)
-            degree_q += est.degree_queries
-            neighbor_q += est.neighbor_queries
             samples += est.samples
         med = _lower_median(values)
-        if med > crude:
-            return DegreeEstimate(
-                value=med,
-                samples=samples,
-                degree_queries=degree_q,
-                neighbor_queries=neighbor_q,
-                crude=crude,
-                iteration=i,
-                seed=seed,
-                conforming=conforming,
-            )
+        if med > level_crude:
+            value, crude, level = med, level_crude, i
+            break
     return DegreeEstimate(
-        value=1.0,
+        value=value,
         samples=samples,
-        degree_queries=degree_q,
-        neighbor_queries=neighbor_q,
-        crude=None,
-        iteration=None,
+        degree_queries=session.degree_queries,
+        neighbor_queries=session.neighbor_queries,
+        crude=crude,
+        iteration=level,
         seed=seed,
-        conforming=conforming,
+        conforming=is_conforming(sample_coeff, rep_coeff, threshold_coeff),
     )

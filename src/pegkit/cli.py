@@ -35,7 +35,7 @@ TRIAL_COLUMNS = [
 
 
 class UsageError(ValueError):
-    """A malformed command-line argument; `main` reports it and exits 2."""
+    """A malformed command-line argument; `main` reports it like any ValueError."""
 
 
 def _ratio(text):
@@ -132,11 +132,7 @@ def cmd_gen(args):
 
 def cmd_erase(args):
     g = _load_graph(args)
-    try:
-        h = instances.erase(g, float(_ratio(args.alpha)), args.strategy, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    h = instances.erase(g, float(_ratio(args.alpha)), args.strategy, args.seed)
     save_peg(h, args.out)
     print(f"wrote {args.out}: erased={h.erased_total} of {h.num_entries} entries")
     return 0
@@ -164,11 +160,7 @@ def _run_conn_trials(g, algo, eps, alpha, davg, master_seed, trials, timings=Fal
     for trial in range(trials):
         seed = split_seed(master_seed, trial)
         t0 = time.perf_counter()
-        try:
-            verdict = _ALGOS[algo](g, eps, alpha, davg, seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+        verdict = _ALGOS[algo](g, eps, alpha, davg, seed)
         wall = (time.perf_counter() - t0) * 1000
         if verdict.rejected:
             rejections += 1
@@ -217,14 +209,10 @@ def cmd_test_conn(args):
 
 def cmd_estimate(args):
     g = _load_graph(args)
-    try:
-        eps = float(_ratio(args.eps))
-        avg_degree.check_estimate_parameters(
-            g.num_vertices, eps, sample_coeff=args.sample_coeff, rep_coeff=args.rep_coeff
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    eps = float(_ratio(args.eps))
+    avg_degree.check_parameters(
+        g.num_vertices, eps, sample_coeff=args.sample_coeff, rep_coeff=args.rep_coeff
+    )
     rows = []
     values = []
     for trial in range(args.trials):
@@ -251,9 +239,7 @@ def cmd_estimate(args):
                 "wall_ms": round(wall, 3) if args.timings else None,
             }
         )
-    conforming = (
-        args.sample_coeff == avg_degree.SAMPLE_COEFF and args.rep_coeff == avg_degree.REP_COEFF
-    )
+    conforming = avg_degree.is_conforming(args.sample_coeff, args.rep_coeff)
     if not conforming:
         print(
             "note: coefficient overrides in effect; results are non-conforming",
@@ -287,11 +273,7 @@ def cmd_exact(args):
         print("ok" if not violations else f"{len(violations)} violations")
         return 0 if not violations else 1
     if args.what == "distance-conn":
-        try:
-            d = exact.distance_to_connectedness(g, slot_bound=args.slot_bound)
-        except exact.Uncompletable:
-            print("error: graph has no completion", file=sys.stderr)
-            return 2
+        d = exact.distance_to_connectedness(g, slot_bound=args.slot_bound)
         print(f"{d.numerator}/{d.denominator}")
         return 0
     if args.what == "witnesses":
@@ -306,27 +288,22 @@ def cmd_exact(args):
         return 0
     if args.what == "exp-chi":
         if args.dhat is None or args.eps is None:
-            print("error: exp-chi needs --dhat and --eps", file=sys.stderr)
-            return 2
+            raise UsageError("exp-chi needs --dhat and --eps")
         value = exact.exact_exp_chi(g, _ratio(args.dhat), _ratio(args.eps))
         print(f"{value.numerator}/{value.denominator}")
         return 0
-    if args.what == "report":
-        dhat = _ratio(args.dhat) if args.dhat else None
-        eps = _ratio(args.eps) if args.eps else None
-        report = exact.exact_report(g, dhat, eps, slot_bound=args.slot_bound)
-        print(json.dumps(report.to_dict(), indent=2))
-        return 0
-    print(f"error: unknown query {args.what!r}", file=sys.stderr)
-    return 2
+    dhat = _ratio(args.dhat) if args.dhat else None
+    eps = _ratio(args.eps) if args.eps else None
+    report = exact.exact_report(g, dhat, eps, slot_bound=args.slot_bound)
+    print(json.dumps(report.to_dict(), indent=2))
+    return 0
 
 
 def cmd_bench(args):
     g = _load_graph(args)
     param, _, values = args.sweep.partition("=")
     if param not in ("eps", "alpha", "n") or not values:
-        print("error: --sweep must look like eps=0.1,0.2", file=sys.stderr)
-        return 2
+        raise UsageError("--sweep must look like eps=0.1,0.2")
     rows = []
     for value in values.split(","):
         sweep_g = g
@@ -336,6 +313,8 @@ def cmd_bench(args):
             eps = float(_ratio(value))
         elif param == "alpha":
             alpha = float(_ratio(value))
+        elif not value.isascii() or not value.isdigit():
+            raise UsageError(f"not a vertex count: {value!r}")
         else:
             sweep_g = instances.gen_far_forest(eps, alpha, int(value), seed=args.seed)
         davg = sweep_g.avg_degree if args.davg in (None, "auto") else float(_ratio(args.davg))
@@ -435,10 +414,11 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; any ValueError becomes one `error:` line and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,17 +56,14 @@ class EdgeCap:
 class BfsOutcome:
     """What one capped BFS saw.
 
-    `lists` holds the entries fetched for each vertex (complete rows for
-    everything in `fully_scanned`), so witness checks can replay the search
-    without charging further queries. `closed` means the whole reachable set
-    was explored and every list fully scanned.
+    `lists` holds the entries fetched for each vertex, so witness checks can
+    replay the search without charging further queries. `closed` means the
+    whole reachable set was explored and every list fully scanned.
     """
 
-    start: int
     graph_n: int
     explored: set
     lists: dict
-    fully_scanned: set
     entries_scanned: int = 0
     erasures_seen: int = 0
     closed: bool = False
@@ -97,13 +94,7 @@ def bfs_until(session, start, stop, halt_on_erasure=False, start_degree=None):
     """
     vertex_cap = stop.limit if isinstance(stop, VertexCap) else None
     entry_cap = stop.limit if isinstance(stop, EdgeCap) else None
-    out = BfsOutcome(
-        start=start,
-        graph_n=session.graph.num_vertices,
-        explored={start},
-        lists={},
-        fully_scanned=set(),
-    )
+    out = BfsOutcome(graph_n=session.graph.num_vertices, explored={start}, lists={})
     if vertex_cap is not None and len(out.explored) >= vertex_cap:
         out.truncated = True
         return out
@@ -117,11 +108,9 @@ def bfs_until(session, start, stop, halt_on_erasure=False, start_degree=None):
             deg = start_degree if (u == start and start_degree is not None) else session.degree(u)
             row = []
             out.lists[u] = row
-            complete = True
             for i in range(1, deg + 1):
                 if entry_cap is not None and out.entries_scanned >= entry_cap:
                     out.truncated = True
-                    complete = False
                     break
                 e = session.neighbor(u, i)
                 out.entries_scanned += 1
@@ -130,17 +119,13 @@ def bfs_until(session, start, stop, halt_on_erasure=False, start_degree=None):
                     out.erasures_seen += 1
                     if halt_on_erasure:
                         out.truncated = True
-                        complete = False
                         break
                 elif e not in out.explored:
                     out.explored.add(e)
                     queue.append(e)
                     if vertex_cap is not None and len(out.explored) >= vertex_cap:
                         out.truncated = True
-                        complete = False
                         break
-            if complete:
-                out.fully_scanned.add(u)
     except BudgetExhausted:
         out.truncated = True
         out.budget_hit = True

@@ -28,7 +28,7 @@ class Uncompletable(ValueError):
     """The graph admits no completion."""
 
 
-class SearchBoundExceeded(RuntimeError):
+class SearchBoundExceeded(ValueError):
     """The completion search would exceed the configured slot bound."""
 
 
@@ -44,9 +44,6 @@ class CompletionSet:
         return iter(self.completions)
 
 
-_STRUCTURAL = {"entry-range", "self-loop", "duplicate-entry", "degree-overflow", "odd-entry-total"}
-
-
 def enumerate_completions(g, cap=None, slot_bound=20):
     """Enumerate completions up to slot-permutation equivalence.
 
@@ -59,10 +56,10 @@ def enumerate_completions(g, cap=None, slot_bound=20):
     `cap` limits the number of completions emitted (exhaustive=False when
     hit). `slot_bound` limits the number of free slots phase 2 may search
     over; beyond it SearchBoundExceeded is raised. Returns an empty
-    exhaustive set when the graph is uncompletable.
+    exhaustive set when `validate` reports any violation, since each one
+    rules out every completion.
     """
-    violations = validate(g)
-    if any(v.code in _STRUCTURAL for v in violations):
+    if validate(g):
         return CompletionSet([], True)
     n = g.num_vertices
     listed = [g.listed(u) for u in range(n)]
@@ -72,8 +69,6 @@ def enumerate_completions(g, cap=None, slot_bound=20):
             if w not in listed[u]:
                 forced[u].add(w)
     free = [g.erased_count(u) - len(forced[u]) for u in range(n)]
-    if any(f < 0 for f in free) or sum(free) % 2 == 1:
-        return CompletionSet([], True)
     if sum(free) > slot_bound:
         raise SearchBoundExceeded(
             f"{sum(free)} free erased slots exceed the search bound {slot_bound}"
@@ -268,6 +263,8 @@ def exact_exp_chi(g, d_hat, eps):
     Equals (1/n) * sum over low-degree vertices of (ranked-above neighbor
     count + erased slot count).
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     H = high_degree_set(g, d_hat, eps)
     total = sum(d_plus(g, u) + d_bot(g, u) for u in range(g.num_vertices) if u not in H)
     return Fraction(total, g.num_vertices)

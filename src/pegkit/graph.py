@@ -12,6 +12,7 @@ derived as half the total list length, never stored separately.
 from __future__ import annotations
 
 import enum
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -341,8 +342,23 @@ def closure(start, links):
 #   v <id> <e1> <e2> ... <ek>
 #
 # Entries are decimal ids or `*` for erased. Vertices without a line have
-# degree 0; the serializer omits them.
+# degree 0; the serializer omits them. Numbers are spelled `0|[1-9][0-9]*`,
+# the only spelling the serializer writes.
 # ---------------------------------------------------------------------------
+
+_NUMBER = re.compile(r"0|[1-9][0-9]*")
+# int() also reads signs, underscores, leading zeros and non-ASCII digits. A
+# text made only of the characters below, with no space-led zero before a
+# digit, can leave every number token to int(); two whole-text scans cost far
+# less than a check per token.
+_PLAIN_CHARS = b"0123456789 *\r\npegvn"
+_LEADING_ZERO = re.compile(r" 0[0-9]")
+
+
+def _number(tok):
+    if not _NUMBER.fullmatch(tok):
+        raise ValueError(f"{tok!r} is not a plain decimal number")
+    return int(tok)
 
 
 def format_peg(g):
@@ -363,8 +379,14 @@ def parse_peg(text):
         raise ValueError("missing 'peg 1' header")
     if len(lines) < 2 or not lines[1].startswith("n "):
         raise ValueError("missing 'n <count>' line")
+    plain = (
+        text.isascii()
+        and not text.encode().translate(None, _PLAIN_CHARS)
+        and not _LEADING_ZERO.search(text)
+    )
+    number = int if plain else _number
     try:
-        n = int(lines[1].split()[1])
+        n = number(lines[1].split()[1])
     except (IndexError, ValueError) as exc:
         raise ValueError("bad vertex count line") from exc
     rows = [[] for _ in range(n)]
@@ -374,7 +396,7 @@ def parse_peg(text):
         if parts[0] != "v" or len(parts) < 2:
             raise ValueError(f"line {lineno}: expected 'v <id> ...'")
         try:
-            u = int(parts[1])
+            u = number(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad vertex id {parts[1]!r}") from exc
         if not 0 <= u < n:
@@ -388,7 +410,7 @@ def parse_peg(text):
                 row.append(ERASED)
             else:
                 try:
-                    row.append(int(tok))
+                    row.append(number(tok))
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: bad entry {tok!r}") from exc
         rows[u] = row

@@ -248,6 +248,8 @@ def test_refine_validates_config():
                    {"sample_coeff": math.inf}, {"threshold_coeff": math.nan}):
         with pytest.raises(ValueError, match="must be a positive finite number"):
             refine_estimate(g, DegreeEstimatorConfig(epsilon=0.25, crude=1.0, **coeffs))
+    with pytest.raises(ValueError, match="too large"):
+        refine_estimate(g, DegreeEstimatorConfig(epsilon=0.25, crude=1.0, sample_coeff=1e30))
 
 
 def test_conforming_flag():
@@ -255,6 +257,8 @@ def test_conforming_flag():
     assert cfg.conforming
     cfg = DegreeEstimatorConfig(epsilon=0.25, crude=1.0, sample_coeff=5.0)
     assert not cfg.conforming
+    assert estimate_avg_degree(single_edge(), 0.25).conforming is True
+    assert estimate_avg_degree(single_edge(), 0.25, threshold_coeff=1.0).conforming is False
 
 
 # --- the doubling-search driver ----------------------------------------------
@@ -293,6 +297,26 @@ def test_estimator_requires_valid_input():
                    {"rep_coeff": -1.0}, {"threshold_coeff": 0.0}):
         with pytest.raises(ValueError, match="must be a positive finite number"):
             estimate_avg_degree(single_edge(), 0.25, **coeffs)
+
+
+def test_estimate_charges_one_session(monkeypatch):
+    g = erase(gen_random_regularish(200, 3, seed=5), 0.3, "uniform", seed=6)
+    refinements = []
+
+    def recording(g, cfg, session=None):
+        est = refine_estimate(g, cfg, session)
+        refinements.append((session, est))
+        return est
+
+    monkeypatch.setattr("pegkit.avg_degree.refine_estimate", recording)
+    est = estimate_avg_degree(g, 0.25, seed=3, sample_coeff=10.0, rep_coeff=2.0)
+    session = refinements[0][0]
+    assert len(refinements) > 1 and session is not None
+    assert all(s is session for s, _ in refinements)
+    assert est.degree_queries == sum(r.degree_queries for _, r in refinements)
+    assert est.neighbor_queries == sum(r.neighbor_queries for _, r in refinements)
+    assert est.samples == sum(r.samples for _, r in refinements)
+    assert est.neighbor_queries < est.degree_queries < 2 * est.samples
 
 
 def test_estimator_is_deterministic_in_the_seed():

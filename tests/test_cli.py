@@ -4,6 +4,7 @@ import pytest
 
 from pegkit.cli import main
 from pegkit.graph import PartiallyErasedGraph, load_peg, save_peg
+from pegkit.instances import gen_gminus
 
 
 def run(capsys, *argv):
@@ -147,6 +148,17 @@ def test_missing_graph_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("line, token", [("v 0 01", "01"), ("v 0 1_0", "1_0"), ("v +0 1", "+0")])
+def test_non_plain_numbers_exit_2(tmp_path, capsys, line, token):
+    peg = tmp_path / "p.peg"
+    peg.write_text(f"peg 1\nn 11\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--graph", str(peg), "--what", "validate"])
+    assert exc.value.code == 2
+    kind = "entry" if token in line.split()[2:] else "vertex id"
+    assert capsys.readouterr().err == f"error: cannot read graph: line 3: bad {kind} {token!r}\n"
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -198,3 +210,24 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
     assert err == f"error: not a rational number: {bad!r}\n"
     assert stdout == ""
     assert not (tmp_path / "x.peg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["exact", "--what", "distance-conn", "--slot-bound", "1"],
+         "4 free erased slots exceed the search bound 1"),
+        (["exact", "--what", "report", "--slot-bound", "1"],
+         "4 free erased slots exceed the search bound 1"),
+        (["exact", "--what", "exp-chi", "--dhat", "2", "--eps", "0"], "eps must be positive, got 0"),
+        (["exact", "--what", "report", "--dhat", "2", "--eps", "0"], "eps must be positive, got 0"),
+        (["bench", "--algo", "mid-alpha", "--sweep", "n=abc"], "not a vertex count: 'abc'"),
+    ],
+)
+def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):
+    peg = tmp_path / "gm.peg"
+    save_peg(gen_gminus("1/7", 4, seed=7), str(peg))
+    code, stdout, err = run(capsys, *argv, "--graph", str(peg))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert stdout == ""

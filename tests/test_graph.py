@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pegkit.exact import enumerate_completions
 from pegkit.graph import (
@@ -145,6 +147,60 @@ def test_peg_parse_errors():
         parse_peg("peg 1\nn 2\nv 0 1\nv 0 1\n")
     with pytest.raises(ValueError):
         parse_peg("peg 1\nn 2\nv 7 0\n")
+
+
+@st.composite
+def valid_graphs(draw):
+    """A random simple graph whose lists are shuffled and partly erased."""
+    n = draw(st.integers(1, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    out = []
+    for row in rows:
+        row = draw(st.permutations(row))
+        erased = draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
+        out.append([ERASED if gone else e for e, gone in zip(row, erased)])
+    return PartiallyErasedGraph(out)
+
+
+# Spellings int() reads as a number but the PEG format does not.
+RESPELLINGS = [
+    lambda tok: "0" + tok,
+    lambda tok: "+" + tok,
+    lambda tok: tok + "_0",
+    lambda tok: tok.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                          "\u0665\u0666\u0667\u0668\u0669")),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_graphs())
+def test_peg_roundtrip_property(g):
+    assert not validate(g)
+    text = format_peg(g)
+    assert parse_peg(text) == g
+    assert format_peg(parse_peg(text)) == text
+    # A trailing tab is not among the characters the whole-text scan lets
+    # through, so this parse checks every token.
+    assert parse_peg(text.replace("\n", "\t\n")) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_graphs(), st.data())
+def test_peg_rejects_non_plain_numbers(g, data):
+    lines = format_peg(g).splitlines()
+    li = data.draw(st.integers(1, len(lines) - 1))
+    parts = lines[li].split()
+    ti = data.draw(st.sampled_from([i for i, tok in enumerate(parts) if tok.isdigit()]))
+    parts[ti] = data.draw(st.sampled_from(RESPELLINGS))(parts[ti])
+    lines[li] = " ".join(parts)
+    expected = "bad vertex count line" if li == 1 else f"line {li + 1}: bad "
+    with pytest.raises(ValueError, match=expected):
+        parse_peg("\n".join(lines) + "\n")
 
 
 def test_peg_erased_entries_roundtrip():
