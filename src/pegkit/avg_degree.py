@@ -41,8 +41,7 @@ def precedes(g, u, v):
 
 def d_plus(g, u):
     """Number of non-erased neighbors of u ranked above u."""
-    du = g.degree(u)
-    return sum(1 for w in g.listed(u) if (du, u) < (g.degree(w), w))
+    return sum(1 for w in g.listed(u) if precedes(g, u, w))
 
 
 def d_bot(g, u):
@@ -165,12 +164,9 @@ def chi_sample(session, cfg):
     if du == 0:
         return 0.0
     entry = session.random_neighbor(u)
-    if entry is ERASED:
-        credit = True
-    else:
-        dv = session.degree(entry)
-        credit = (du, u) < (dv, entry)
-    if credit and du <= tau * (1 + _THRESHOLD_RTOL):
+    if entry is not ERASED:
+        session.degree(entry)  # the query that ranks the entry
+    if (entry is ERASED or precedes(g, u, entry)) and du <= tau * (1 + _THRESHOLD_RTOL):
         return float(du)
     return 0.0
 
@@ -178,9 +174,9 @@ def chi_sample(session, cfg):
 def credit_counts(g):
     """Per-vertex (degree, d_bot, d_plus) as numpy arrays, vectorized.
 
-    Counts are per slot, like the slot draw: a neighbor listed twice counts
-    twice. On a graph without repeated entries they equal `g.degree`,
-    `d_bot` and `d_plus`.
+    The ranked-above test is `precedes` over all slots at once. Counts are
+    per slot, like the slot draw: a neighbor listed twice counts twice. On a
+    graph without repeated entries they equal `g.degree`, `d_bot` and `d_plus`.
     """
     n = g.num_vertices
     degrees, _, flat = g.flat_adjacency()

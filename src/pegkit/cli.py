@@ -4,8 +4,9 @@ Subcommands: gen, erase, test-conn, estimate, exact, bench. Runs are fully
 determined by their arguments: per-trial seeds are split from the master
 seed by trial index, so identical invocations produce byte-identical
 output files (wall-time recording is opt-in via --timings because it is
-the one nondeterministic field). Exit codes: 0 ok, 1 self-check violation, 2 usage or infeasible
-input.
+the one nondeterministic field).
+
+Exit codes: 0 ok, 1 self-check violation, 2 usage or infeasible input.
 """
 
 from __future__ import annotations
@@ -138,45 +139,56 @@ def cmd_erase(args):
     return 0
 
 
+# The tester behind each --algo, looked up on `connectedness` when a command
+# runs, so a tester patched on the module is the one that runs.
 _ALGOS = {
-    "small-alpha": lambda g, eps, alpha, davg, seed: connectedness.tester_small_alpha(
-        g, connectedness.ConnTesterConfig(eps, alpha, davg, seed)
-    ),
-    "mid-alpha": lambda g, eps, alpha, davg, seed: connectedness.tester_mid_alpha(
-        g, connectedness.ConnTesterConfig(eps, alpha, davg, seed)
-    ),
-    "no-erasure": lambda g, eps, alpha, davg, seed: connectedness.tester_no_erasures(
-        g, connectedness.ConnTesterConfig(eps, alpha, davg, seed)
-    ),
-    "unknown-davg": lambda g, eps, alpha, davg, seed: connectedness.tester_unknown_davg(
-        g, eps, seed, alpha
-    ),
+    "small-alpha": "tester_small_alpha",
+    "mid-alpha": "tester_mid_alpha",
+    "no-erasure": "tester_no_erasures",
+    "unknown-davg": "tester_unknown_davg",
 }
 
 
-def _run_conn_trials(g, algo, eps, alpha, davg, master_seed, trials, timings=False):
+def _run_trials(master_seed, trials, timings, run):
+    """One TRIAL_COLUMNS row per trial of run(seed), a tester verdict or a degree estimate.
+
+    Each trial's seed is split from the master seed by trial index; with
+    timings, wall_ms times the run(seed) call alone.
+    """
+    if trials < 0:
+        raise UsageError(f"--trials must be a non-negative count, got {trials}")
     rows = []
-    rejections = 0
     for trial in range(trials):
         seed = split_seed(master_seed, trial)
         t0 = time.perf_counter()
-        verdict = _ALGOS[algo](g, eps, alpha, davg, seed)
+        out = run(seed)
         wall = (time.perf_counter() - t0) * 1000
-        if verdict.rejected:
-            rejections += 1
+        estimate = isinstance(out, avg_degree.DegreeEstimate)
+        witness = None if estimate else out.witness
         rows.append(
             {
                 "trial": trial,
                 "seed": seed,
-                "result": "reject" if verdict.rejected else "accept",
-                "value": "",
-                "witness_kind": verdict.witness.kind if verdict.witness else "",
-                "degree_queries": verdict.degree_queries,
-                "neighbor_queries": verdict.neighbor_queries,
+                "result": "estimate" if estimate else "reject" if out.rejected else "accept",
+                "value": out.value if estimate else "",
+                "witness_kind": witness.kind if witness else "",
+                "degree_queries": out.degree_queries,
+                "neighbor_queries": out.neighbor_queries,
                 "wall_ms": round(wall, 3) if timings else None,
             }
         )
-    return rows, rejections
+    return rows
+
+
+def _run_conn_trials(args, g, eps, alpha, davg):
+    tester = getattr(connectedness, _ALGOS[args.algo])
+
+    def run(seed):
+        if args.algo == "unknown-davg":
+            return tester(g, eps, seed, alpha)
+        return tester(g, connectedness.ConnTesterConfig(eps, alpha, davg, seed))
+
+    return _run_trials(args.seed, args.trials, args.timings, run)
 
 
 def cmd_test_conn(args):
@@ -184,9 +196,8 @@ def cmd_test_conn(args):
     davg = _resolve_davg(args, g)
     eps = float(_ratio(args.eps))
     alpha = float(_ratio(args.alpha))
-    rows, rejections = _run_conn_trials(
-        g, args.algo, eps, alpha, davg, args.seed, args.trials, args.timings
-    )
+    rows = _run_conn_trials(args, g, eps, alpha, davg)
+    rejections = sum(r["result"] == "reject" for r in rows)
     totals = [r["degree_queries"] + r["neighbor_queries"] for r in rows]
     summary = {
         "trials": args.trials,
@@ -213,32 +224,15 @@ def cmd_estimate(args):
     avg_degree.check_parameters(
         g.num_vertices, eps, sample_coeff=args.sample_coeff, rep_coeff=args.rep_coeff
     )
-    rows = []
-    values = []
-    for trial in range(args.trials):
-        seed = split_seed(args.seed, trial)
-        t0 = time.perf_counter()
-        est = avg_degree.estimate_avg_degree(
-            g,
-            eps,
-            seed=seed,
-            sample_coeff=args.sample_coeff,
-            rep_coeff=args.rep_coeff,
-        )
-        wall = (time.perf_counter() - t0) * 1000
-        values.append(est.value)
-        rows.append(
-            {
-                "trial": trial,
-                "seed": seed,
-                "result": "estimate",
-                "value": est.value,
-                "witness_kind": "",
-                "degree_queries": est.degree_queries,
-                "neighbor_queries": est.neighbor_queries,
-                "wall_ms": round(wall, 3) if args.timings else None,
-            }
-        )
+    rows = _run_trials(
+        args.seed,
+        args.trials,
+        args.timings,
+        lambda seed: avg_degree.estimate_avg_degree(
+            g, eps, seed=seed, sample_coeff=args.sample_coeff, rep_coeff=args.rep_coeff
+        ),
+    )
+    values = [r["value"] for r in rows]
     conforming = avg_degree.is_conforming(args.sample_coeff, args.rep_coeff)
     if not conforming:
         print(
@@ -318,10 +312,7 @@ def cmd_bench(args):
         else:
             sweep_g = instances.gen_far_forest(eps, alpha, int(value), seed=args.seed)
         davg = sweep_g.avg_degree if args.davg in (None, "auto") else float(_ratio(args.davg))
-        trial_rows, _ = _run_conn_trials(
-            sweep_g, args.algo, eps, alpha, davg, args.seed, args.trials, args.timings
-        )
-        for r in trial_rows:
+        for r in _run_conn_trials(args, sweep_g, eps, alpha, davg):
             r_out = {"sweep_param": param, "sweep_value": value}
             r_out.update(r)
             rows.append(r_out)

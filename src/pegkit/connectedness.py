@@ -217,27 +217,24 @@ class TesterVerdict:
         }
 
 
-def witness_size_bound(epsilon, alpha, davg):
-    """Average witness size bound b = 2 / ((eps - 2*alpha) * davg)."""
-    return 2.0 / ((epsilon - 2 * alpha) * davg)
+def small_alpha_plan(epsilon, alpha, davg):
+    """The small-alpha tester's plan. -> (b, vertex_case, schedule).
 
-
-def small_alpha_schedule(b):
-    """(level, repetitions) pairs: levels 1..ceil(log2(4b)), reps ceil(4b ln6 / 2^i)."""
+    b = 2 / ((eps - 2*alpha) * davg) bounds the average witness size. The
+    vertex-capped searches apply when b <= davg * log2(b) (ties included).
+    The schedule holds (level, reps) for levels 1..ceil(log2(4b)), with
+    reps = ceil(4b ln6 / 2^i).
+    """
+    b = 2.0 / ((epsilon - 2 * alpha) * davg)
     t = max(1, math.ceil(math.log2(4 * b)))
-    return [(i, math.ceil(4 * b * LN6 / 2**i)) for i in range(1, t + 1)]
-
-
-def small_alpha_uses_vertex_cap(b, davg):
-    """True when the vertex-capped BFS variant applies (ties included)."""
-    return b <= davg * math.log2(b)
+    schedule = [(i, math.ceil(4 * b * LN6 / 2**i)) for i in range(1, t + 1)]
+    return b, b <= davg * math.log2(b), schedule
 
 
 def small_alpha_query_cap(epsilon, alpha, davg):
     """Hard cap: six times the closed-form expected cost of the active case."""
-    b = witness_size_bound(epsilon, alpha, davg)
-    schedule = small_alpha_schedule(b)
-    if small_alpha_uses_vertex_cap(b, davg):
+    _, vertex_case, schedule = small_alpha_plan(epsilon, alpha, davg)
+    if vertex_case:
         expected = sum(reps * 4**i for i, reps in schedule)
     else:
         expected = sum(reps * 2**i * davg for i, reps in schedule)
@@ -304,8 +301,7 @@ def tester_small_alpha(g, cfg):
     times the schedule's expected cost.
     """
     _check_known_davg_params(cfg.epsilon, cfg.alpha, cfg.davg, 0.5)
-    b = witness_size_bound(cfg.epsilon, cfg.alpha, cfg.davg)
-    vertex_case = small_alpha_uses_vertex_cap(b, cfg.davg)
+    b, vertex_case, schedule = small_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
     cap = small_alpha_query_cap(cfg.epsilon, cfg.alpha, cfg.davg)
     session = QuerySession(g, seed=cfg.seed, budget=cap, budget_counts="both")
     params = {
@@ -316,18 +312,20 @@ def tester_small_alpha(g, cfg):
         "b": b,
         "case": "vertex" if vertex_case else "edge",
     }
-    witness, aborted = _search_levels(session, small_alpha_schedule(b), vertex_case)
+    witness, aborted = _search_levels(session, schedule, vertex_case)
     return _verdict(session, witness, cap, params, aborted)
 
 
-def mid_alpha_bfs_cap(epsilon, alpha, davg):
-    """Per-search neighbor-query cap floor(min(b^2, b*davg)) with b = 4/((eps-alpha)*davg).
+def mid_alpha_plan(epsilon, alpha, davg):
+    """The mid-alpha tester's plan. -> (b, reps, cap).
 
-    Floored with a 1e-12 relative slack so caps that are integral up to
-    floating-point noise land on the integer.
+    b = 4 / ((eps - alpha) * davg); reps = ceil(b ln 3) searches, each under
+    the neighbor-query cap floor(min(b^2, b*davg)). The cap is floored with a
+    1e-12 relative slack so caps that are integral up to floating-point noise
+    land on the integer.
     """
     b = 4.0 / ((epsilon - alpha) * davg)
-    return max(1, math.floor(min(b * b, b * davg) * (1 + 1e-12)))
+    return b, math.ceil(b * LN3), max(1, math.floor(min(b * b, b * davg) * (1 + 1e-12)))
 
 
 def tester_mid_alpha(g, cfg):
@@ -338,9 +336,7 @@ def tester_mid_alpha(g, cfg):
     a generalized witness (at most one erasure).
     """
     _check_known_davg_params(cfg.epsilon, cfg.alpha, cfg.davg, 1.0)
-    b = 4.0 / ((cfg.epsilon - cfg.alpha) * cfg.davg)
-    reps = math.ceil(b * LN3)
-    qcap = mid_alpha_bfs_cap(cfg.epsilon, cfg.alpha, cfg.davg)
+    b, reps, qcap = mid_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
     session = QuerySession(g, seed=cfg.seed)
     params = {
         "algorithm": "mid-alpha",

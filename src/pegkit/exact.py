@@ -9,19 +9,12 @@ for instances up to a few hundred vertices.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .avg_degree import d_bot, d_plus
-from .connectedness import (
-    LN3,
-    mid_alpha_bfs_cap,
-    small_alpha_schedule,
-    small_alpha_uses_vertex_cap,
-    witness_size_bound,
-)
-from .graph import Completion, closure, validate
+from .connectedness import mid_alpha_plan, small_alpha_plan
+from .graph import Completion, closure, forced_partners, validate
 
 
 class Uncompletable(ValueError):
@@ -63,12 +56,8 @@ def enumerate_completions(g, cap=None, slot_bound=20):
         return CompletionSet([], True)
     n = g.num_vertices
     listed = [g.listed(u) for u in range(n)]
-    forced = [set() for _ in range(n)]
-    for w in range(n):
-        for u in listed[w]:
-            if w not in listed[u]:
-                forced[u].add(w)
-    free = [g.erased_count(u) - len(forced[u]) for u in range(n)]
+    forced = forced_partners(g)
+    free = [g.erased_count(u) - len(forced.get(u, ())) for u in range(n)]
     if sum(free) > slot_bound:
         raise SearchBoundExceeded(
             f"{sum(free)} free erased slots exceed the search bound {slot_bound}"
@@ -125,7 +114,7 @@ def enumerate_completions(g, cap=None, slot_bound=20):
 
     completions = []
     for extra in solutions:
-        partners = [sorted(forced[u]) for u in range(n)]
+        partners = [sorted(forced.get(u, ())) for u in range(n)]
         for a, b in extra:
             partners[a].append(b)
             partners[b].append(a)
@@ -179,9 +168,6 @@ def reach_listed(g, start):
 class WitnessInventory:
     plain: list  # list of frozensets
     generalized: list  # list of (frozenset, frozenset-of-anchors)
-
-    def generalized_sets(self):
-        return [c for c, _ in self.generalized]
 
 
 def _erasure_holder(g, C):
@@ -355,7 +341,7 @@ def exact_report(g, d_hat=None, eps=None, slot_bound=20):
 
 # ---------------------------------------------------------------------------
 # Exact per-run rejection probabilities of the samplers, from the inventory
-# and the sampling schedules. Used to calibrate statistical tests. Both
+# and the testers' own plans. Used to calibrate statistical tests. Both
 # assume the hard query cap never binds on the instance (true for the small
 # bounded-degree instances these are used on).
 # ---------------------------------------------------------------------------
@@ -363,11 +349,10 @@ def exact_report(g, d_hat=None, eps=None, slot_bound=20):
 
 def small_alpha_rejection_probability(g, epsilon, alpha, davg):
     n = g.num_vertices
-    b = witness_size_bound(epsilon, alpha, davg)
-    vertex_case = small_alpha_uses_vertex_cap(b, davg)
+    _, vertex_case, schedule = small_alpha_plan(epsilon, alpha, davg)
     inv = inventory_witnesses(g)
     accept = 1.0
-    for i, reps in small_alpha_schedule(b):
+    for i, reps in schedule:
         detected = 0
         for C in inv.plain:
             rep_len = sum(g.degree(v) for v in C)
@@ -382,10 +367,8 @@ def small_alpha_rejection_probability(g, epsilon, alpha, davg):
 
 def mid_alpha_rejection_probability(g, epsilon, alpha, davg):
     n = g.num_vertices
-    b = 4.0 / ((epsilon - alpha) * davg)
-    reps = math.ceil(b * LN3)
-    qcap = mid_alpha_bfs_cap(epsilon, alpha, davg)
-    witnesses = set(inventory_witnesses(g).generalized_sets())
+    _, reps, qcap = mid_alpha_plan(epsilon, alpha, davg)
+    witnesses = {C for C, _ in inventory_witnesses(g).generalized}
     detected = 0
     for s in range(n):
         C = reach_listed(g, s)

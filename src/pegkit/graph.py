@@ -35,9 +35,6 @@ class _ErasedMark:
 
 ERASED = _ErasedMark()
 
-# An adjacency entry is a vertex id or the erasure mark.
-AdjEntry = "int | _ErasedMark"
-
 
 class EdgeStatus(enum.Enum):
     NONERASED = "nonerased"
@@ -54,7 +51,7 @@ class PartiallyErasedGraph:
     validate cleanly and admit a completion.
     """
 
-    __slots__ = ("_adj", "_n", "_erased_total", "_listed", "_arrays", "_derived")
+    __slots__ = ("_adj", "_n", "_erased_total", "_listed", "_derived")
 
     def __init__(self, adjacency, num_vertices=None):
         adj = [tuple(row) for row in adjacency]
@@ -76,7 +73,6 @@ class PartiallyErasedGraph:
         self._n = n
         self._erased_total = erased
         self._listed = [None] * n
-        self._arrays = None
         self._derived = {}
 
     @property
@@ -159,25 +155,22 @@ class PartiallyErasedGraph:
         return EdgeStatus.ABSENT, None
 
     def flat_adjacency(self):
-        """(degrees, offsets, entries) numpy views with -1 marking erasures.
+        """(degrees, offsets, entries) numpy arrays with -1 marking erasures.
 
-        Built lazily and cached; used by the batch sampling paths.
+        Built on each call; the estimator's credit-class table, which is
+        derived from them, is the part kept with the graph.
         """
-        if self._arrays is None:
-            import numpy as np
+        import numpy as np
 
-            degrees = np.fromiter(
-                (len(row) for row in self._adj), dtype=np.int64, count=self._n
-            )
-            offsets = np.zeros(self._n, dtype=np.int64)
-            np.cumsum(degrees[:-1], out=offsets[1:])
-            flat = np.fromiter(
-                (-1 if e is ERASED else e for row in self._adj for e in row),
-                dtype=np.int64,
-                count=int(degrees.sum()),
-            )
-            self._arrays = (degrees, offsets, flat)
-        return self._arrays
+        degrees = np.fromiter((len(row) for row in self._adj), dtype=np.int64, count=self._n)
+        offsets = np.zeros(self._n, dtype=np.int64)
+        np.cumsum(degrees[:-1], out=offsets[1:])
+        flat = np.fromiter(
+            (-1 if e is ERASED else e for row in self._adj for e in row),
+            dtype=np.int64,
+            count=int(degrees.sum()),
+        )
+        return degrees, offsets, flat
 
     def cached(self, build):
         """build(self), computed on first use and kept with the graph.
@@ -212,6 +205,20 @@ class Violation:
     code: str
     subject: tuple
     detail: str
+
+
+def forced_partners(g):
+    """{u: set of w} over the half-erased edges w->u; each w uses up an erased slot of u.
+
+    w lists u but u does not list w, so one of u's erased slots holds w in
+    every completion. Vertices with no such w are left out.
+    """
+    forced = {}
+    for w in range(g.num_vertices):
+        for u in g.listed(w):
+            if w not in g.listed(u):
+                forced.setdefault(u, set()).add(w)
+    return forced
 
 
 def validate(g):
@@ -249,23 +256,20 @@ def validate(g):
     if g.num_entries % 2 == 1:
         violations.append(Violation("odd-entry-total", (), "total list length is odd"))
     if structural_ok:
-        # Every half-erased edge w->u must be absorbed by an erased slot of u,
-        # and the leftover free slots must pair up across vertices.
-        forced = [0] * n
-        for w in range(n):
-            for u in g.listed(w):
-                if w not in g.listed(u):
-                    forced[u] += 1
+        # Every forced partner must find an erased slot, and the leftover
+        # free slots must pair up across vertices.
+        forced = forced_partners(g)
         free_total = 0
         overflow = False
         for u in range(n):
-            free = g.erased_count(u) - forced[u]
+            pointing = len(forced.get(u, ()))
+            free = g.erased_count(u) - pointing
             if free < 0:
                 violations.append(
                     Violation(
                         "forced-overflow",
                         (u,),
-                        f"{forced[u]} half-erased edges point at {u} "
+                        f"{pointing} half-erased edges point at {u} "
                         f"but only {g.erased_count(u)} erased slots",
                     )
                 )

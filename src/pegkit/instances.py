@@ -166,6 +166,8 @@ def _far_forest_shapes(eps, n, davg_target):
     degree 1), mixed to approach davg_target in [1, 2]; cycle length is the
     largest of 3..6 keeping every component below the farness budget.
     """
+    if n < 1:
+        raise InfeasibleParameters("need at least one vertex")
     eps = Fraction(eps)
     cl = None
     for cand in (6, 5, 4, 3):
@@ -337,6 +339,8 @@ def erase(g, alpha, strategy="uniform", seed=0):
     """
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must lie in [0, 1]")
+    if strategy not in ("uniform", "halves", "symmetric"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
     budget = int(2 * Fraction(alpha) * g.num_edges)
     if budget == 0:
@@ -350,7 +354,7 @@ def erase(g, alpha, strategy="uniform", seed=0):
             if e is not ERASED
         ]
         slots = rng.sample(avail, min(budget, len(avail)))
-    elif strategy in ("halves", "symmetric"):
+    else:
         mutual = []
         for u in range(g.num_vertices):
             for w in g.listed(u):
@@ -367,8 +371,6 @@ def erase(g, alpha, strategy="uniform", seed=0):
             for u, w in chosen:
                 slots.append((u, list(g.entries(u)).index(w)))
                 slots.append((w, list(g.entries(w)).index(u)))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     return erase_slots(g, slots)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,12 @@ def test_gen_infeasible_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert err == "error: infeasible parameters: missing parameter --k\n"
+    code, _, err = run(
+        capsys, "gen", "--family", "far-forest", "--eps", "0.2", "--alpha", "0", "--n", "-5",
+        "--out", str(tmp_path / "x.peg"),
+    )
+    assert code == 2
+    assert err == "error: infeasible parameters: need at least one vertex\n"
     assert not (tmp_path / "x.peg").exists()
 
 
@@ -222,6 +230,12 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
         (["exact", "--what", "exp-chi", "--dhat", "2", "--eps", "0"], "eps must be positive, got 0"),
         (["exact", "--what", "report", "--dhat", "2", "--eps", "0"], "eps must be positive, got 0"),
         (["bench", "--algo", "mid-alpha", "--sweep", "n=abc"], "not a vertex count: 'abc'"),
+        (["test-conn", "--algo", "mid-alpha", "--eps", "0.2", "--trials", "-3"],
+         "--trials must be a non-negative count, got -3"),
+        (["estimate", "--eps", "0.25", "--trials", "-3"],
+         "--trials must be a non-negative count, got -3"),
+        (["bench", "--algo", "mid-alpha", "--sweep", "eps=0.2", "--trials", "-3"],
+         "--trials must be a non-negative count, got -3"),
     ],
 )
 def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):
@@ -231,3 +245,90 @@ def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):
     assert code == 2
     assert err == f"error: {message}\n"
     assert stdout == ""
+
+
+def test_erase_unknown_strategy_exits_2(tmp_path, capsys):
+    # On 14 edges, alpha 0.001 gives an erase budget of zero.
+    peg = tmp_path / "gm.peg"
+    save_peg(gen_gminus("1/7", 4, seed=7), str(peg))
+    out = tmp_path / "h.peg"
+    code, stdout, err = run(
+        capsys, "erase", "--graph", str(peg), "--alpha", "0.001", "--strategy", "zz",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert err == "error: unknown strategy 'zz'\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
+# Fixed-seed runs whose exit code, stdout and output files must stay byte for
+# byte what they were when these digests were recorded. Each case first makes
+# the graphs in GOLDEN_GRAPHS, in a fresh directory. `estimate` is left out
+# because numpy does not promise its Generator streams across versions, and
+# `regularish` because it draws from networkx.
+GOLDEN_GRAPHS = [
+    ["gen", "--family", "far-forest", "--eps", "0.2", "--alpha", "0.05", "--n", "500",
+     "--seed", "2", "--out", "f.peg"],
+    ["gen", "--family", "connected", "--n", "300", "--davg", "2.5", "--seed", "3", "--out", "c.peg"],
+    ["gen", "--family", "gminus", "--eps", "1/7", "--k", "4", "--seed", "7", "--out", "gm.peg"],
+]
+_CONN = ["--graph", "f.peg", "--eps", "0.2", "--trials", "20", "--seed", "11"]
+GOLDEN = {
+    "gen-connected": ["gen", "--family", "connected", "--n", "300", "--davg", "2.5", "--seed", "3",
+                      "--out", "x.peg", "--manifest", "x.json"],
+    "gen-far-forest": ["gen", "--family", "far-forest", "--eps", "0.2", "--alpha", "0.05",
+                       "--n", "500", "--seed", "2", "--out", "x.peg", "--manifest", "x.json"],
+    "gen-gminus": ["gen", "--family", "gminus", "--eps", "1/7", "--k", "4", "--seed", "7",
+                   "--out", "x.peg", "--manifest", "x.json"],
+    **{
+        f"test-conn-{algo}-{fmt}": ["test-conn", "--algo", algo, *_CONN, "--format", fmt,
+                                    "--alpha", "0" if algo == "no-erasure" else "0.05",
+                                    "--out", "r.out"]
+        for algo in ("small-alpha", "mid-alpha", "no-erasure", "unknown-davg")
+        for fmt in ("json", "csv")
+    },
+    "test-conn-small-alpha-vertex-case": ["test-conn", "--graph", "c.peg", "--algo", "small-alpha",
+                                          "--eps", "0.2", "--trials", "20", "--seed", "4"],
+    "bench-eps": ["bench", "--graph", "f.peg", "--algo", "small-alpha", "--sweep", "eps=0.2,1/4",
+                  "--trials", "5", "--seed", "3", "--out", "b.csv"],
+    **{f"exact-{what}": ["exact", "--graph", "gm.peg", "--what", what]
+       for what in ("report", "witnesses", "distance-conn")},
+}
+GOLDEN_SHA256 = {
+    "bench-eps": "9643e7be777c0f78fdd9d8d457f9426a72f56058e13a0ba0ac53509705574891",
+    "exact-distance-conn": "65f5908f47f5910e9ada29233ddb5e052111429e96cadf80453a6d160219fdc0",
+    "exact-report": "af76e0d8b8b04d53ca3264e2bb202a3e11e4f921d38b2772c67630b6ebe0d26d",
+    "exact-witnesses": "72aed6a90ef3a2d9893efd80f977ca236a340ae6514894ff0b2b3e880dfe9957",
+    "gen-connected": "ac7d1131ec000da62d444f5732ec77bbfd37845b0f6b8db0a4397685ebb09379",
+    "gen-far-forest": "d1496f23969840e0a7ae6db981f62f1a6a290c31a46aa39ad7b2a0caf885cae7",
+    "gen-gminus": "354833ea2bbbc8f0a8358693f14d27a71d86abeccab65bc1021a074fc731a3a4",
+    "test-conn-mid-alpha-csv": "c6f356337f0182fa8f4b4733084f749111203fb5f8fceb33a742f5d9454cb8f2",
+    "test-conn-mid-alpha-json": "d03b1825e26505857af6138b4d8d6275f18ce844035ddea009f1fcb971cc87f2",
+    "test-conn-no-erasure-csv": "60553f1d16966a16002ee122eceaa52a59db0ad53ec37254d46b7fe727b9d524",
+    "test-conn-no-erasure-json": "2d66f4d11db75399db6a76d5659e32edd3241c48f5692b8ed1ed9300325389d1",
+    "test-conn-small-alpha-csv": "b4550108cddf66874f8da0548002644fd0c954164eaafd0df04fb024e7bd9f11",
+    "test-conn-small-alpha-json": "4da9060ef50c08adbf881817744566d71adc112f7f53b9e865efc4f2d8ef05e5",
+    "test-conn-small-alpha-vertex-case": "4cdd4585b1a46d29b52d11ed73dbfeb39761f886aaca64ed51f09a4d077b2dce",
+    "test-conn-unknown-davg-csv": "b01c25dcf7f0c799e5c35d54e3afc85f37e61d7aa930e724aaee4a85ca2b4241",
+    "test-conn-unknown-davg-json": "ef22354d54f9deb7d1ea2facfbba6d4d36e28891013c531aaa50b21a206e6133",
+}
+
+
+def _digest(capsys, argv):
+    """sha256 over one run's exit code, stdout and --out/--manifest files."""
+    code = main(argv)
+    h = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode())
+    for flag in ("--out", "--manifest"):
+        if flag in argv:
+            h.update(Path(argv[argv.index(flag) + 1]).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_outputs(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    for argv in GOLDEN_GRAPHS:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert _digest(capsys, GOLDEN[case]) == GOLDEN_SHA256[case]

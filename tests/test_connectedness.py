@@ -9,7 +9,7 @@ from pegkit.connectedness import (
     bfs_until,
     detect_generalized_witness,
     detect_plain_witness,
-    mid_alpha_bfs_cap,
+    mid_alpha_plan,
     small_alpha_query_cap,
     tester_mid_alpha,
     tester_no_erasures,
@@ -345,8 +345,8 @@ def test_unknown_davg_single_vertex_graph_accepts():
 
 def test_mid_alpha_bfs_cap_formula():
     # b = 4 / ((eps - alpha) * davg); cap = floor(min(b^2, b*davg))
-    assert mid_alpha_bfs_cap(0.2, 0.15, 2.0) == 80
-    assert mid_alpha_bfs_cap(0.5, 0.0, 1.0) == 8
+    assert mid_alpha_plan(0.2, 0.15, 2.0)[2] == 80
+    assert mid_alpha_plan(0.5, 0.0, 1.0)[2] == 8
 
 
 def test_parameter_validation():

@@ -136,6 +136,14 @@ def test_erase_alpha_zero_is_identity():
     assert erase(g, 0.0, "uniform", seed=1) == g
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.001, 0.5])
+def test_erase_rejects_unknown_strategy(alpha):
+    # alpha 0 and 0.001 give an erase budget of zero on 20 edges.
+    g = gen_connected(20, 2.0, seed=1)
+    with pytest.raises(ValueError, match="unknown strategy 'zz'"):
+        erase(g, alpha, "zz", seed=1)
+
+
 def test_erase_alpha_one_uniform_erases_everything():
     g = gen_connected(20, 2.0, seed=2)
     h = erase(g, 1.0, "uniform", seed=3)
