@@ -202,49 +202,69 @@ def credit_classes(g):
     return g.cached(_credit_class_table)
 
 
-def refine_estimate(g, cfg, session=None):
-    """Sharpen a crude average-degree estimate (collapsed batch path).
+def credit_outcomes(g, tau):
+    """(probability, credit value, erased flag) per outcome of one credit sample.
 
-    Draws the configured number of independent credit samples with a
-    seeded numpy generator and returns twice their mean. The samples are
-    drawn as counts: a multinomial over credit classes, then per class a
-    multinomial over erased, ranked-above and other slots, so the credit sum
-    and the query counts have exactly the joint distribution of per-slot
-    draws. Query accounting is exact and charged to the session in bulk: one
-    degree query per sample, one neighbor query per non-isolated sample, one
-    extra degree query per non-erased drawn entry. The returned estimate
-    counts the queries of this refinement alone.
+    A sample's value and its charged queries depend only on its outcome.
+    Outcomes: isolated, uncredited erased, uncredited listed (this includes
+    the slots of a credited vertex not ranked above it), then per credited
+    degree d one erased and one ranked-above outcome, both worth d. Each
+    probability sums, over the credit classes, class weight count/n times
+    the share of the class's slots in that outcome.
     """
-    cfg.validate(g.num_vertices)
-    n = g.num_vertices
-    s = sample_count(n, cfg)
-    tau = chi_threshold(n, cfg.crude, cfg.epsilon, cfg.threshold_coeff)
     deg, bot, plus, count = credit_classes(g)
-    rng = np.random.default_rng(cfg.seed & (2**64 - 1))
+    live = deg > 0
+    credited = live & (deg <= tau * (1 + _THRESHOLD_RTOL))
+    weight = count / (g.num_vertices * np.maximum(deg, 1))  # an isolated class has no slots
+    degrees, idx = np.unique(deg[credited], return_inverse=True)
+    k = len(degrees)
+    paid = [np.bincount(idx, (weight * slots)[credited], k) for slots in (bot, plus)]
+    unpaid = [
+        np.sum(count[~live]) / g.num_vertices,
+        np.dot(weight[~credited], bot[~credited]),
+        np.dot(weight, deg - bot - plus) + np.dot(weight[~credited], plus[~credited]),
+    ]
+    p = np.concatenate([unpaid, *paid])
+    value = np.concatenate([np.zeros(3), degrees, degrees])
+    erased = np.repeat([False, True, False, True, False], [1, 1, 1, k, k])
+    return p, value, erased
+
+
+def refine_level(g, cfg, t, session):
+    """Draw t independent refinements at cfg.crude in one call.
+
+    One seeded numpy generator draws a t-row multinomial over
+    `credit_outcomes`, so each row has exactly the joint distribution of
+    per-slot draws. Returns (values, samples per refinement, degree queries,
+    neighbor queries), where a value is twice its row's mean credit, computed
+    in float64, and the query totals are exact over all t rows and charged to
+    the session in bulk: one degree query per sample, one neighbor query per
+    non-isolated sample, one extra degree query per non-erased drawn entry.
+    """
+    n = g.num_vertices
+    cfg.validate(n)
+    s = sample_count(n, cfg)
+    p, value, erased = credit_outcomes(g, chi_threshold(n, cfg.crude, cfg.epsilon, cfg.threshold_coeff))
+    drawn = np.random.default_rng(cfg.seed & (2**64 - 1)).multinomial(s, p, size=t)
+    # A row sums to s, so it fits an int64; totals over rows are Python ints.
+    isolated = sum(drawn[:, 0].tolist())
+    degree = 2 * s * t - isolated - sum(drawn[:, erased].sum(axis=1).tolist())
+    neighbor = s * t - isolated
+    session.charge_bulk(degree=degree, neighbor=neighbor)
+    return (2.0 * (drawn * value).sum(axis=1) / s).tolist(), s, degree, neighbor
+
+
+def refine_estimate(g, cfg, session=None):
+    """Sharpen a crude average-degree estimate: `refine_level` with one row.
+
+    The returned estimate counts the queries of this refinement alone.
+    """
     if session is None:
         session = QuerySession(g, seed=cfg.seed)
-
-    drawn = rng.multinomial(s, count / n)
-    # Columns: erased, ranked above, other listed; an isolated vertex's
-    # draws all land in the last column.
-    slot_split = np.stack([bot, plus, deg - bot - plus], axis=1) / np.maximum(deg, 1)[:, None]
-    slot_split[deg == 0, 2] = 1.0
-    erased, above, _ = rng.multinomial(drawn, slot_split).T
-    credited = deg <= tau * (1 + _THRESHOLD_RTOL)
-    total = float(np.dot(deg[credited], (erased + above)[credited]))
-    isolated = int(drawn[deg == 0].sum())
-    degree = 2 * s - isolated - int(erased.sum())
-    neighbor = s - isolated
-
-    session.charge_bulk(degree=degree, neighbor=neighbor)
+    (value,), s, degree, neighbor = refine_level(g, cfg, 1, session)
     return DegreeEstimate(
-        value=2.0 * total / s,
-        samples=s,
-        degree_queries=degree,
-        neighbor_queries=neighbor,
-        crude=cfg.crude,
-        seed=cfg.seed,
-        conforming=cfg.conforming,
+        value=value, samples=s, degree_queries=degree, neighbor_queries=neighbor,
+        crude=cfg.crude, seed=cfg.seed, conforming=cfg.conforming,
     )
 
 
@@ -264,9 +284,9 @@ def estimate_avg_degree(
 
     For i = 0..ceil(log2 n) runs the refinement repeatedly at crude = n/2^i
     (kept as an exact real) and takes the lower median; returns the first
-    median that exceeds its crude input, or 1 if none does. Each refinement
-    run gets its own split seed; all of them charge one session, whose
-    totals the estimate reports.
+    median that exceeds its crude input, or 1 if none does. Each level draws
+    its refinements in one `refine_level` call with its own split seed; all
+    levels charge one session, whose totals the estimate reports.
     """
     n = g.num_vertices
     check_parameters(
@@ -278,18 +298,15 @@ def estimate_avg_degree(
     value, crude, level = 1.0, None, None
     for i in range(math.ceil(math.log2(n)) + 1):
         level_crude = n / 2**i
-        values = []
-        for j in range(t):
-            cfg = DegreeEstimatorConfig(
-                epsilon=epsilon,
-                crude=level_crude,
-                seed=split_seed(seed, i * t + j),
-                sample_coeff=sample_coeff,
-                threshold_coeff=threshold_coeff,
-            )
-            est = refine_estimate(g, cfg, session)
-            values.append(est.value)
-            samples += est.samples
+        cfg = DegreeEstimatorConfig(
+            epsilon=epsilon,
+            crude=level_crude,
+            seed=split_seed(seed, i),
+            sample_coeff=sample_coeff,
+            threshold_coeff=threshold_coeff,
+        )
+        values, s, _, _ = refine_level(g, cfg, t, session)
+        samples += s * t
         med = _lower_median(values)
         if med > level_crude:
             value, crude, level = med, level_crude, i

@@ -15,11 +15,13 @@ from pegkit.avg_degree import (
     chi_threshold,
     credit_classes,
     credit_counts,
+    credit_outcomes,
     d_bot,
     d_plus,
     estimate_avg_degree,
     precedes,
     refine_estimate,
+    refine_level,
     sample_count,
 )
 from pegkit.exact import exact_exp_chi
@@ -168,38 +170,48 @@ def test_credit_classes_match_scalar_reference():
         assert credit_classes(g) is credit_classes(g)
 
 
-def test_refine_matches_scalar_reference_distribution():
+def reference_case(crude):
+    """The erased graph with isolates at eps 0.3: config, s, tau and exact expectations.
+
+    Expectations are of (value, degree queries, neighbor queries) for one
+    refinement; the standard deviation bounds come from the ranges of one
+    sample: the value's term lies in [0, 2*tau], degree queries in [1, 2],
+    neighbor queries in [0, 1].
+    """
     g = erased_graph_with_isolates(0)
     n = g.num_vertices
-    # tau ~ 6 drops the vertices of degree 7 to 9 from the credit
-    crude, eps = Fraction(1, 50), Fraction(3, 10)
+    eps = Fraction(3, 10)
     cfg = DegreeEstimatorConfig(epsilon=float(eps), crude=float(crude), sample_coeff=0.05)
     s = sample_count(n, cfg)
     tau = chi_threshold(n, cfg.crude, cfg.epsilon)
-    assert 0 < sum(g.degree(u) > tau for u in range(n)) < n
     nonisolated = [u for u in range(n) if g.degree(u) > 0]
     expected = (
         2 * float(exact_exp_chi(g, crude, eps)),
         s * (1 + sum((g.degree(u) - d_bot(g, u)) / g.degree(u) for u in nonisolated) / n),
         s * len(nonisolated) / n,
     )
-    # Per-run standard deviation bounds from the ranges of one sample: the
-    # value's term lies in [0, 2*tau], degree queries in [1, 2], neighbor
-    # queries in [0, 1].
     sd = (tau / math.sqrt(s), math.sqrt(s) / 2, math.sqrt(s) / 2)
-    runs = 2000
+    return g, cfg, s, tau, expected, sd
 
-    def worst_z(value, degree_q, neighbor_q):
-        observed = (statistics.fmean(value), statistics.fmean(degree_q), statistics.fmean(neighbor_q))
-        return max(abs(o - e) / (w / math.sqrt(runs)) for o, e, w in zip(observed, expected, sd))
+
+def worst_z(observed, expected, sd):
+    """Largest |z| of the sample means of three per-run series."""
+    return max(
+        abs(statistics.fmean(o) - e) / (w / math.sqrt(len(o))) for o, e, w in zip(observed, expected, sd)
+    )
+
+
+def test_refine_matches_scalar_reference_distribution():
+    # tau ~ 6 drops the vertices of degree 7 to 9 from the credit
+    g, cfg, s, tau, expected, sd = reference_case(Fraction(1, 50))
+    assert 0 < sum(g.degree(u) > tau for u in range(g.num_vertices)) < g.num_vertices
+    runs = 2000
 
     collapsed = [refine_estimate(g, replace(cfg, seed=split_seed(1, r))) for r in range(runs)]
     assert all(e.samples == s for e in collapsed)
-    assert worst_z(
-        [e.value for e in collapsed],
-        [e.degree_queries for e in collapsed],
-        [e.neighbor_queries for e in collapsed],
-    ) <= 4
+    observed = ([e.value for e in collapsed], [e.degree_queries for e in collapsed],
+                [e.neighbor_queries for e in collapsed])
+    assert worst_z(observed, expected, sd) <= 4
 
     scalar = ([], [], [])
     for r in range(runs):
@@ -207,7 +219,66 @@ def test_refine_matches_scalar_reference_distribution():
         scalar[0].append(2 * sum(chi_sample(session, cfg) for _ in range(s)) / s)
         scalar[1].append(session.degree_queries)
         scalar[2].append(session.neighbor_queries)
-    assert worst_z(*scalar) <= 4
+    assert worst_z(scalar, expected, sd) <= 4
+
+
+@pytest.mark.parametrize("crude", [Fraction(1, 50), Fraction(2)])
+def test_refine_level_matches_exact_distribution(crude):
+    # crude 2 puts tau above every degree, so every class is credited
+    g, cfg, s, tau, expected, sd = reference_case(crude)
+    assert (max(g.degree(u) for u in range(g.num_vertices)) <= tau) == (crude == 2)
+    levels, t = 400, 7
+    values, degree, neighbor = [], [], []
+    for r in range(levels):
+        session = QuerySession(g, seed=0)
+        rows, samples, d, nb = refine_level(g, replace(cfg, seed=split_seed(3, r)), t, session)
+        assert len(rows) == t and samples == s
+        assert (session.degree_queries, session.neighbor_queries) == (d, nb)
+        values += rows
+        degree.append(d / t)
+        neighbor.append(nb / t)
+    # a level's query totals average t rows, so their spread shrinks by sqrt(t)
+    level_sd = (sd[0], sd[1] / math.sqrt(t), sd[2] / math.sqrt(t))
+    assert worst_z((values, degree, neighbor), expected, level_sd) <= 4
+
+
+@pytest.mark.parametrize("crude", [0.02, 0.2, 2.0])
+def test_credit_outcomes_are_the_two_stage_probabilities(crude):
+    g = erased_graph_with_isolates(1)
+    n = g.num_vertices
+    tau = chi_threshold(n, crude, 0.3)
+    # Per vertex, then per slot, as `chi_sample` draws: key (credit, erased).
+    exact = Counter()
+    for u in range(n):
+        du = g.degree(u)
+        if du == 0:
+            exact["isolated"] += Fraction(1, n)
+            continue
+        for entry in g.entries(u):
+            credit = du if du <= tau and (entry is ERASED or precedes(g, u, entry)) else 0
+            exact[credit, entry is ERASED] += Fraction(1, n * du)
+    p, value, erased = credit_outcomes(g, tau)
+    assert abs(p.sum() - 1) <= 1e-12 and (p >= 0).all()
+    got = Counter()
+    for j, (pj, v, e) in enumerate(zip(p, value, erased)):
+        got["isolated" if j == 0 else (int(v), bool(e))] += pj
+    assert set(got) >= set(exact)
+    assert all(abs(got[key] - float(exact[key])) <= 1e-12 for key in got)
+
+
+def test_refine_sums_exactly_past_int64():
+    # s ~ 1.68e18 fits an int64, but a credit sum of ~20 s does not, and
+    # neither do the query totals of a few rows.
+    g = gen_random_regularish(40, 20.0, seed=1)
+    assert g.avg_degree == 20 and g.erasure_fraction() == 0
+    cfg = DegreeEstimatorConfig(0.25, crude=1.0, seed=3, sample_coeff=4e15)
+    est = refine_estimate(g, cfg)
+    assert (1 - 0.25) * 20 <= est.value <= (1 + 0.25) * 20
+    # no isolated vertex and no erased slot: two degree queries and one neighbor query per sample
+    assert (est.degree_queries, est.neighbor_queries) == (2 * est.samples, est.samples)
+    rows, s, degree, neighbor = refine_level(g, cfg, 6, QuerySession(g))
+    assert all((1 - 0.25) * 20 <= v <= (1 + 0.25) * 20 for v in rows)
+    assert (degree, neighbor) == (2 * 6 * s, 6 * s)
 
 
 def test_refine_accounting_no_isolates_no_erasures():
@@ -301,21 +372,26 @@ def test_estimator_requires_valid_input():
 
 def test_estimate_charges_one_session(monkeypatch):
     g = erase(gen_random_regularish(200, 3, seed=5), 0.3, "uniform", seed=6)
-    refinements = []
+    n = g.num_vertices
+    charges = []
+    charge_bulk = QuerySession.charge_bulk
 
-    def recording(g, cfg, session=None):
-        est = refine_estimate(g, cfg, session)
-        refinements.append((session, est))
-        return est
+    def recording(session, degree=0, neighbor=0):
+        charges.append((session, degree, neighbor))
+        return charge_bulk(session, degree=degree, neighbor=neighbor)
 
-    monkeypatch.setattr("pegkit.avg_degree.refine_estimate", recording)
+    monkeypatch.setattr(QuerySession, "charge_bulk", recording)
     est = estimate_avg_degree(g, 0.25, seed=3, sample_coeff=10.0, rep_coeff=2.0)
-    session = refinements[0][0]
-    assert len(refinements) > 1 and session is not None
-    assert all(s is session for s, _ in refinements)
-    assert est.degree_queries == sum(r.degree_queries for _, r in refinements)
-    assert est.neighbor_queries == sum(r.neighbor_queries for _, r in refinements)
-    assert est.samples == sum(r.samples for _, r in refinements)
+    levels = range(math.ceil(math.log2(n)) + 1 if est.iteration is None else est.iteration + 1)
+    t = math.ceil(2.0 * math.log(4 * math.log2(n)))
+    assert len(charges) == len(levels) > 1  # one bulk charge per level tried
+    assert len({id(session) for session, _, _ in charges}) == 1
+    assert est.degree_queries == sum(d for _, d, _ in charges)
+    assert est.neighbor_queries == sum(nb for _, _, nb in charges)
+    level_samples = [
+        sample_count(n, DegreeEstimatorConfig(0.25, crude=n / 2**i, sample_coeff=10.0)) for i in levels
+    ]
+    assert est.samples == sum(s * t for s in level_samples)
     assert est.neighbor_queries < est.degree_queries < 2 * est.samples
 
 
