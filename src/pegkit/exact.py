@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .avg_degree import d_bot, d_plus
 from .connectedness import mid_alpha_plan, small_alpha_plan
@@ -27,14 +28,40 @@ class SearchBoundExceeded(ValueError):
 
 @dataclass
 class CompletionSet:
-    completions: list
+    """The completions found, each kept as the tuple of its free-slot pairs.
+
+    `pairs` holds one tuple of (a, b), a < b, per completion: the new edges
+    beyond the forced fills. `slot_table` maps each vertex with erased slots
+    to (its erased slots, its forced partners in sorted order). `Completion`
+    objects are built from the two only when `completions` is read or the
+    set is iterated.
+    """
+
+    pairs: list
     exhaustive: bool
+    slot_table: dict
 
     def __len__(self):
-        return len(self.completions)
+        return len(self.pairs)
 
     def __iter__(self):
         return iter(self.completions)
+
+    @cached_property
+    def completions(self):
+        """One Completion per pair tuple; each erased slot takes its partners in sorted order."""
+        out = []
+        for extra in self.pairs:
+            partners = {u: list(forced) for u, (_, forced) in self.slot_table.items()}
+            for a, b in extra:
+                partners[a].append(b)
+                partners[b].append(a)
+            fills = {}
+            for u, (slots, _) in self.slot_table.items():
+                for slot, w in zip(slots, sorted(partners[u])):
+                    fills[(u, slot)] = w
+            out.append(Completion.from_dict(fills))
+        return out
 
 
 def enumerate_completions(g, cap=None, slot_bound=20):
@@ -53,11 +80,12 @@ def enumerate_completions(g, cap=None, slot_bound=20):
     rules out every completion.
     """
     if validate(g):
-        return CompletionSet([], True)
+        return CompletionSet([], True, {})
     n = g.num_vertices
     listed = [g.listed(u) for u in range(n)]
     forced = forced_partners(g)
-    free = [g.erased_count(u) - len(forced.get(u, ())) for u in range(n)]
+    slots = {u: s for u in range(n) if (s := g.erased_slots(u))}
+    free = [len(slots.get(u, ())) - len(forced.get(u, ())) for u in range(n)]
     if sum(free) > slot_bound:
         raise SearchBoundExceeded(
             f"{sum(free)} free erased slots exceed the search bound {slot_bound}"
@@ -111,20 +139,8 @@ def enumerate_completions(g, cap=None, slot_bound=20):
                 return
 
     backtrack([], set())
-
-    completions = []
-    for extra in solutions:
-        partners = [sorted(forced.get(u, ())) for u in range(n)]
-        for a, b in extra:
-            partners[a].append(b)
-            partners[b].append(a)
-        fills = {}
-        for u in range(n):
-            slots = g.erased_slots(u)
-            for slot, w in zip(slots, sorted(partners[u])):
-                fills[(u, slot)] = w
-        completions.append(Completion.from_dict(fills))
-    return CompletionSet(completions, exhaustive)
+    slot_table = {u: (slots[u], sorted(forced.get(u, ()))) for u in slots}
+    return CompletionSet(solutions, exhaustive, slot_table)
 
 
 def components(g):
@@ -145,12 +161,46 @@ def components(g):
     return comps
 
 
+def min_completion_components(g, cs):
+    """Fewest connected components over the completions in cs, which must hold one.
+
+    A forced fill repeats a link g already lists, so a completed graph's
+    components are those of g merged along the completion's free-slot pairs.
+    Each pair tuple runs a union-find over g's component labels; the count
+    is g's component count minus the merges. The scan stops at the first
+    completion that leaves one component.
+    """
+    comps = components(g)
+    label = {}
+    for i, comp in enumerate(comps):
+        for v in comp:
+            label[v] = i
+    most_merges = 0
+    for extra in cs.pairs:
+        parent = {}
+        merges = 0
+        for a, b in extra:
+            ra, rb = label[a], label[b]
+            while ra in parent:
+                ra = parent[ra]
+            while rb in parent:
+                rb = parent[rb]
+            if ra != rb:
+                parent[ra] = rb
+                merges += 1
+        if merges > most_merges:
+            most_merges = merges
+            if most_merges == len(comps) - 1:
+                break
+    return len(comps) - most_merges
+
+
 def distance_to_connectedness(g, slot_bound=20):
     """Exact distance: (min completion components - 1) / m, as a fraction."""
     cs = enumerate_completions(g, slot_bound=slot_bound)
-    if not cs.completions:
+    if not cs.pairs:
         raise Uncompletable("graph has no completion")
-    min_comp = min(len(components(c.apply(g))) for c in cs.completions)
+    min_comp = min_completion_components(g, cs)
     if min_comp == 1:
         return Fraction(0)
     m = g.num_edges
@@ -318,8 +368,8 @@ def exact_report(g, d_hat=None, eps=None, slot_bound=20):
     cs = enumerate_completions(g, slot_bound=slot_bound)
     min_comp = None
     dist = None
-    if cs.completions and cs.exhaustive:
-        min_comp = min(len(components(c.apply(g))) for c in cs.completions)
+    if cs.pairs and cs.exhaustive:
+        min_comp = min_completion_components(g, cs)
         if min_comp == 1:
             dist = Fraction(0)
         elif g.num_edges > 0:
@@ -329,7 +379,7 @@ def exact_report(g, d_hat=None, eps=None, slot_bound=20):
     if d_hat is not None and eps is not None:
         chi = exact_exp_chi(g, d_hat, eps)
     return ExactReport(
-        completions_count=len(cs.completions),
+        completions_count=len(cs),
         exhaustive=cs.exhaustive,
         min_components=min_comp,
         distance_to_connectedness=dist,

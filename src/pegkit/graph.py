@@ -51,7 +51,7 @@ class PartiallyErasedGraph:
     validate cleanly and admit a completion.
     """
 
-    __slots__ = ("_adj", "_n", "_erased_total", "_listed", "_derived")
+    __slots__ = ("_adj", "_n", "_entries", "_erased_total", "_listed", "_derived")
 
     def __init__(self, adjacency, num_vertices=None):
         adj = [tuple(row) for row in adjacency]
@@ -62,8 +62,9 @@ class PartiallyErasedGraph:
             raise ValueError(f"{len(adj)} adjacency rows for {n} vertices")
         while len(adj) < n:
             adj.append(())
-        erased = 0
+        entries = erased = 0
         for u, row in enumerate(adj):
+            entries += len(row)
             for e in row:
                 if e is ERASED:
                     erased += 1
@@ -71,6 +72,7 @@ class PartiallyErasedGraph:
                     raise TypeError(f"entry {e!r} in list of {u} is not a vertex id")
         self._adj = tuple(adj)
         self._n = n
+        self._entries = entries
         self._erased_total = erased
         self._listed = [None] * n
         self._derived = {}
@@ -82,7 +84,7 @@ class PartiallyErasedGraph:
     @property
     def num_entries(self):
         """Total adjacency list length; equals 2m for a valid graph."""
-        return sum(len(row) for row in self._adj)
+        return self._entries
 
     @property
     def num_edges(self):
@@ -414,9 +416,12 @@ def parse_peg(text):
                 row.append(ERASED)
             else:
                 try:
-                    row.append(number(tok))
+                    e = number(tok)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: bad entry {tok!r}") from exc
+                if e >= n:  # number() never returns a negative
+                    raise ValueError(f"line {lineno}: entry {e} outside [0, {n})")
+                row.append(e)
         rows[u] = row
     return PartiallyErasedGraph(rows, num_vertices=n)
 

@@ -168,6 +168,28 @@ def test_non_plain_numbers_exit_2(tmp_path, capsys, line, token):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["test-conn", "--algo", "mid-alpha", "--eps", "0.2"],
+        ["test-conn", "--algo", "unknown-davg", "--eps", "0.2"],
+        ["estimate", "--eps", "0.25"],
+        ["exact", "--what", "report"],
+        ["exact", "--what", "validate"],
+    ],
+    ids=["mid-alpha", "unknown-davg", "estimate", "report", "validate"],
+)
+def test_out_of_range_entry_exits_2(tmp_path, capsys, argv):
+    peg = tmp_path / "p.peg"
+    peg.write_text("peg 1\nn 2\nv 0 5\nv 1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--graph", str(peg)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.err == "error: cannot read graph: line 3: entry 5 outside [0, 2)\n"
+    assert out.out == ""
+
+
+@pytest.mark.parametrize(
     "extra, message",
     [
         (["--eps", "0.7"], "epsilon must lie in (0, 1/2)"),
@@ -272,6 +294,9 @@ GOLDEN_GRAPHS = [
      "--seed", "2", "--out", "f.peg"],
     ["gen", "--family", "connected", "--n", "300", "--davg", "2.5", "--seed", "3", "--out", "c.peg"],
     ["gen", "--family", "gminus", "--eps", "1/7", "--k", "4", "--seed", "7", "--out", "gm.peg"],
+    ["gen", "--family", "gminus", "--eps", "1/7", "--k", "8", "--seed", "7", "--out", "gm8.peg"],
+    ["gen", "--family", "far-forest", "--eps", "0.2", "--alpha", "0.15", "--n", "80",
+     "--strategy", "component-hiding", "--seed", "5", "--out", "fh.peg"],
 ]
 _CONN = ["--graph", "f.peg", "--eps", "0.2", "--trials", "20", "--seed", "11"]
 GOLDEN = {
@@ -294,10 +319,16 @@ GOLDEN = {
                   "--trials", "5", "--seed", "3", "--out", "b.csv"],
     **{f"exact-{what}": ["exact", "--graph", "gm.peg", "--what", what]
        for what in ("report", "witnesses", "distance-conn")},
+    **{f"exact-{graph}-{what}": ["exact", "--graph", f"{graph}.peg", "--what", what]
+       for graph in ("gm8", "fh") for what in ("report", "distance-conn")},
 }
 GOLDEN_SHA256 = {
     "bench-eps": "9643e7be777c0f78fdd9d8d457f9426a72f56058e13a0ba0ac53509705574891",
     "exact-distance-conn": "65f5908f47f5910e9ada29233ddb5e052111429e96cadf80453a6d160219fdc0",
+    "exact-fh-distance-conn": "0fae0458bde82d5a3744ffc944e17b8f755392e475ea44bdcce67199fa0ed8d0",
+    "exact-fh-report": "fd519b81996f27a864b620dc4b3479fd2ea067c8de59c27dc283a7ab35752875",
+    "exact-gm8-distance-conn": "65f5908f47f5910e9ada29233ddb5e052111429e96cadf80453a6d160219fdc0",
+    "exact-gm8-report": "22952b999837475afbdb0a1c83e0f68d32e4b240675b5b1059a36d894a38ec7c",
     "exact-report": "af76e0d8b8b04d53ca3264e2bb202a3e11e4f921d38b2772c67630b6ebe0d26d",
     "exact-witnesses": "72aed6a90ef3a2d9893efd80f977ca236a340ae6514894ff0b2b3e880dfe9957",
     "gen-connected": "ac7d1131ec000da62d444f5732ec77bbfd37845b0f6b8db0a4397685ebb09379",

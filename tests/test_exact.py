@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import networkx as nx
 import pytest
@@ -16,6 +17,7 @@ from pegkit.exact import (
     inventory_witnesses,
     is_small,
     mid_alpha_rejection_probability,
+    min_completion_components,
     quality_edge_variant,
     quality_vertex_variant,
     reach_listed,
@@ -73,10 +75,16 @@ def test_matching_family_completion_count():
         assert sorted(len(x) for x in comp) == [1, 2, 2, 2, 6]
 
 
+@pytest.mark.parametrize("k, count", [(6, 15), (8, 105)])
+def test_gminus_completions_are_odd_double_factorial(k, count):
+    # k free slots, one per cycle, pair up in (k-1)!! ways
+    assert len(enumerate_completions(gen_gminus("1/7", k, seed=k))) == count
+
+
 def test_completion_cap_sets_partial_flag():
     gm = gen_gminus("1/7", 4, seed=7)
     cs = enumerate_completions(gm, cap=2)
-    assert not cs.exhaustive and len(cs) == 2
+    assert not cs.exhaustive and len(cs) == len(cs.completions) == 2
 
 
 def test_slot_bound_guards_matching_search():
@@ -98,6 +106,54 @@ def test_uncompletable_inputs_give_empty_list():
     # odd number of free slots
     h = PartiallyErasedGraph([[1], [0], [ERASED], []])
     assert enumerate_completions(h).completions == []
+
+
+def _random_erased_graph(seed):
+    """A sparse random simple graph with up to 5 edges erased on both sides
+    (free slots) and a fifth of the other entries erased (forced fills)."""
+    rng = random.Random(seed)
+    n = rng.randrange(4, 15)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25]
+    hidden = set(rng.sample(edges, min(len(edges), rng.randrange(6))))
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(ERASED if (u, v) in hidden or rng.random() < 0.2 else v)
+        rows[v].append(ERASED if (u, v) in hidden or rng.random() < 0.2 else u)
+    return PartiallyErasedGraph(rows)
+
+
+def _three_paths():
+    """Paths 0-6-1, 2-7-3 and 4-8-5 whose ends each hold a free slot: the first
+    pairing found closes each path on itself, later ones merge the paths."""
+    rows = [[6, ERASED], [6, ERASED], [7, ERASED], [7, ERASED], [8, ERASED], [8, ERASED],
+            [0, 1], [2, 3], [4, 5]]
+    return PartiallyErasedGraph(rows)
+
+
+MERGE_CASES = {
+    "three-paths": _three_paths,
+    **{f"random-{seed}": partial(_random_erased_graph, seed) for seed in range(24)},
+    **{f"gminus-{k}": partial(gen_gminus, "1/7", k, seed=k) for k in (4, 6, 8)},
+    **{f"gplus-{k}": partial(gen_gplus, "1/7", k, seed=k) for k in (4, 6, 8)},
+    **{
+        f"forest-hiding-{seed}": partial(
+            gen_far_forest, 0.2, 0.15, 60, strategy="component-hiding", seed=seed
+        )
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_min_completion_components_matches_rebuilt_graphs(case):
+    g = MERGE_CASES[case]()
+    cs = enumerate_completions(g, slot_bound=24)
+    assert cs.exhaustive and len(cs) == len(cs.completions) >= 1
+    assert len(set(cs.completions)) == len(cs)
+    rebuilt = [c.apply(g) for c in cs]
+    assert all(full.erased_total == 0 for full in rebuilt)
+    # the reference: rebuild every completed graph and walk it again
+    assert min_completion_components(g, cs) == min(len(components(full)) for full in rebuilt)
 
 
 # --- distance ----------------------------------------------------------------
