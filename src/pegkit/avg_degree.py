@@ -10,9 +10,11 @@ resilience at the cost of counting some erased edges twice.
 The driver searches crude estimates n/2^i in decreasing powers of two and
 returns the first refined median that overtakes its crude input.
 
-The coefficient defaults (SAMPLE_COEFF=660, REP_COEFF=12, THRESHOLD_COEFF=4)
-match the analyzed guarantees. They can be overridden for fast desk-scale
-experiments; any override marks the run non-conforming.
+The sample and repetition coefficients default to the analyzed
+SAMPLE_COEFF=660 and REP_COEFF=12. Only these two can be overridden, for
+fast desk-scale experiments; any override marks the run non-conforming. The
+degree-threshold factor THRESHOLD_COEFF=4 and the failure probability
+DELTA=1/4 are fixed at the values the analysis uses.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .oracle import QuerySession, split_seed
 SAMPLE_COEFF = 660.0
 REP_COEFF = 12.0
 THRESHOLD_COEFF = 4.0
+DELTA = 0.25
 
 # Relative slack for the floating-point degree-threshold comparison.
 _THRESHOLD_RTOL = 1e-12
@@ -49,20 +52,12 @@ def d_bot(g, u):
     return g.erased_count(u)
 
 
-def chi_threshold(n, crude, epsilon, coeff=THRESHOLD_COEFF):
+def chi_threshold(n, crude, epsilon):
     """Degree cutoff above which samples contribute zero."""
-    return coeff * math.sqrt(n * crude / epsilon)
+    return THRESHOLD_COEFF * math.sqrt(n * crude / epsilon)
 
 
-def check_parameters(
-    n,
-    epsilon,
-    crude=None,
-    delta=0.25,
-    sample_coeff=SAMPLE_COEFF,
-    rep_coeff=REP_COEFF,
-    threshold_coeff=THRESHOLD_COEFF,
-):
+def check_parameters(n, epsilon, crude=None, sample_coeff=SAMPLE_COEFF, rep_coeff=REP_COEFF):
     """Raise ValueError unless the estimator can run on n vertices with these parameters.
 
     Every estimator parameter rule is written here once. `crude` is one
@@ -77,15 +72,12 @@ def check_parameters(
         crude = n / 2 ** math.ceil(math.log2(n))
     if not 0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
-    if not 0 < delta < 1 / 3:
-        raise ValueError("delta must lie in (0, 1/3)")
     if not crude > 0:
         raise ValueError("a positive crude estimate is required")
-    coeffs = {"sample_coeff": sample_coeff, "rep_coeff": rep_coeff, "threshold_coeff": threshold_coeff}
-    for name, value in coeffs.items():
+    for name, value in {"sample_coeff": sample_coeff, "rep_coeff": rep_coeff}.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite number, got {value}")
-    s = sample_count(n, DegreeEstimatorConfig(epsilon, delta, crude, sample_coeff=sample_coeff))
+    s = sample_count(n, DegreeEstimatorConfig(epsilon, crude, sample_coeff=sample_coeff))
     if s > _MAX_SAMPLES:
         raise ValueError(
             f"sample_coeff {sample_coeff} is too large: a refinement would draw "
@@ -93,31 +85,26 @@ def check_parameters(
         )
 
 
-def is_conforming(sample_coeff=SAMPLE_COEFF, rep_coeff=REP_COEFF, threshold_coeff=THRESHOLD_COEFF):
-    """True when every coefficient is at its analyzed default."""
-    return (sample_coeff, rep_coeff, threshold_coeff) == (SAMPLE_COEFF, REP_COEFF, THRESHOLD_COEFF)
+def is_conforming(sample_coeff=SAMPLE_COEFF, rep_coeff=REP_COEFF):
+    """True when both settable coefficients are at their analyzed defaults."""
+    return (sample_coeff, rep_coeff) == (SAMPLE_COEFF, REP_COEFF)
 
 
 @dataclass
 class DegreeEstimatorConfig:
     epsilon: float
-    delta: float = 0.25
     crude: "float | None" = None
     seed: int = 0
     sample_coeff: float = SAMPLE_COEFF
-    threshold_coeff: float = THRESHOLD_COEFF
 
     @property
     def conforming(self):
-        return is_conforming(self.sample_coeff, threshold_coeff=self.threshold_coeff)
+        return is_conforming(self.sample_coeff)
 
     def validate(self, n):
         """Raise ValueError unless a refinement on n vertices can run with this config."""
         # A missing crude value reaches the check as 0 and is rejected there.
-        check_parameters(
-            n, self.epsilon, self.crude or 0.0, self.delta, self.sample_coeff,
-            threshold_coeff=self.threshold_coeff,
-        )
+        check_parameters(n, self.epsilon, self.crude or 0.0, self.sample_coeff)
 
 
 @dataclass
@@ -144,9 +131,9 @@ class DegreeEstimate:
 
 
 def sample_count(n, cfg):
-    """ceil(coeff * ln(2/delta) * sqrt(n / (eps^5 * crude)))."""
+    """ceil(coeff * ln(2/DELTA) * sqrt(n / (eps^5 * crude)))."""
     return math.ceil(
-        cfg.sample_coeff * math.log(2 / cfg.delta) * math.sqrt(n / (cfg.epsilon**5 * cfg.crude))
+        cfg.sample_coeff * math.log(2 / DELTA) * math.sqrt(n / (cfg.epsilon**5 * cfg.crude))
     )
 
 
@@ -158,7 +145,7 @@ def chi_sample(session, cfg):
     when the drawn entry is non-erased.
     """
     g = session.graph
-    tau = chi_threshold(g.num_vertices, cfg.crude, cfg.epsilon, cfg.threshold_coeff)
+    tau = chi_threshold(g.num_vertices, cfg.crude, cfg.epsilon)
     u = session.random_vertex()
     du = session.degree(u)
     if du == 0:
@@ -244,7 +231,7 @@ def refine_level(g, cfg, t, session):
     n = g.num_vertices
     cfg.validate(n)
     s = sample_count(n, cfg)
-    p, value, erased = credit_outcomes(g, chi_threshold(n, cfg.crude, cfg.epsilon, cfg.threshold_coeff))
+    p, value, erased = credit_outcomes(g, chi_threshold(n, cfg.crude, cfg.epsilon))
     drawn = np.random.default_rng(cfg.seed & (2**64 - 1)).multinomial(s, p, size=t)
     # A row sums to s, so it fits an int64; totals over rows are Python ints.
     isolated = sum(drawn[:, 0].tolist())
@@ -254,14 +241,12 @@ def refine_level(g, cfg, t, session):
     return (2.0 * (drawn * value).sum(axis=1) / s).tolist(), s, degree, neighbor
 
 
-def refine_estimate(g, cfg, session=None):
+def refine_estimate(g, cfg):
     """Sharpen a crude average-degree estimate: `refine_level` with one row.
 
     The returned estimate counts the queries of this refinement alone.
     """
-    if session is None:
-        session = QuerySession(g, seed=cfg.seed)
-    (value,), s, degree, neighbor = refine_level(g, cfg, 1, session)
+    (value,), s, degree, neighbor = refine_level(g, cfg, 1, QuerySession(g, seed=cfg.seed))
     return DegreeEstimate(
         value=value, samples=s, degree_queries=degree, neighbor_queries=neighbor,
         crude=cfg.crude, seed=cfg.seed, conforming=cfg.conforming,
@@ -272,14 +257,7 @@ def _lower_median(values):
     return sorted(values)[(len(values) - 1) // 2]
 
 
-def estimate_avg_degree(
-    g,
-    epsilon,
-    seed=0,
-    sample_coeff=SAMPLE_COEFF,
-    rep_coeff=REP_COEFF,
-    threshold_coeff=THRESHOLD_COEFF,
-):
+def estimate_avg_degree(g, epsilon, seed=0, sample_coeff=SAMPLE_COEFF, rep_coeff=REP_COEFF):
     """Estimate the average degree with no prior crude estimate.
 
     For i = 0..ceil(log2 n) runs the refinement repeatedly at crude = n/2^i
@@ -289,9 +267,7 @@ def estimate_avg_degree(
     levels charge one session, whose totals the estimate reports.
     """
     n = g.num_vertices
-    check_parameters(
-        n, epsilon, sample_coeff=sample_coeff, rep_coeff=rep_coeff, threshold_coeff=threshold_coeff
-    )
+    check_parameters(n, epsilon, sample_coeff=sample_coeff, rep_coeff=rep_coeff)
     t = math.ceil(rep_coeff * math.log(4 * math.log2(n)))
     session = QuerySession(g, seed=seed)
     samples = 0
@@ -303,7 +279,6 @@ def estimate_avg_degree(
             crude=level_crude,
             seed=split_seed(seed, i),
             sample_coeff=sample_coeff,
-            threshold_coeff=threshold_coeff,
         )
         values, s, _, _ = refine_level(g, cfg, t, session)
         samples += s * t
@@ -319,5 +294,5 @@ def estimate_avg_degree(
         crude=crude,
         iteration=level,
         seed=seed,
-        conforming=is_conforming(sample_coeff, rep_coeff, threshold_coeff),
+        conforming=is_conforming(sample_coeff, rep_coeff),
     )

@@ -36,7 +36,7 @@ TRIAL_COLUMNS = [
 
 
 class UsageError(ValueError):
-    """A malformed command-line argument; `main` reports it like any ValueError."""
+    """A malformed argument or graph file; `main` reports it like any ValueError."""
 
 
 def _ratio(text):
@@ -85,8 +85,7 @@ def _load_graph(args):
     try:
         return load_peg(args.graph)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read graph: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"cannot read graph: {exc}") from exc
 
 
 def _resolve_davg(args, g):
@@ -405,11 +404,11 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; any ValueError becomes one `error:` line and exit 2."""
+    """Run one command; any ValueError or OSError becomes one `error:` line and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -390,9 +390,9 @@ def tester_unknown_davg(g, epsilon, seed=0, alpha=0.0):
     budget use eps - 2*alpha; the budget constants are kept unchanged from
     the known-degree-free analysis for the erasure-free case.
     """
+    if not (0 < epsilon < 1 and 0 <= alpha < epsilon / 2):
+        raise ValueError("need 0 < epsilon < 1 and 0 <= alpha < epsilon/2")
     eps_eff = epsilon - 2 * alpha
-    if not 0 < eps_eff < 1 or not 0 < epsilon < 1:
-        raise ValueError("need 0 < epsilon < 1 and alpha < epsilon/2")
     budget = unknown_davg_budget(eps_eff)
     params = {
         "algorithm": "unknown-davg",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .avg_degree import d_bot, d_plus
+from .avg_degree import THRESHOLD_COEFF, d_bot, d_plus
 from .connectedness import mid_alpha_plan, small_alpha_plan
 from .graph import Completion, closure, forced_partners, validate
 
@@ -38,7 +38,6 @@ class CompletionSet:
     """
 
     pairs: list
-    exhaustive: bool
     slot_table: dict
 
     def __len__(self):
@@ -64,7 +63,7 @@ class CompletionSet:
         return out
 
 
-def enumerate_completions(g, cap=None, slot_bound=20):
+def enumerate_completions(g, slot_bound=20):
     """Enumerate completions up to slot-permutation equivalence.
 
     Phase 1 resolves forced fills: every half-erased edge w->u consumes one
@@ -73,14 +72,13 @@ def enumerate_completions(g, cap=None, slot_bound=20):
     Completions are deduplicated by resulting edge set; each erased slot is
     filled with its partners in sorted order.
 
-    `cap` limits the number of completions emitted (exhaustive=False when
-    hit). `slot_bound` limits the number of free slots phase 2 may search
-    over; beyond it SearchBoundExceeded is raised. Returns an empty
-    exhaustive set when `validate` reports any violation, since each one
-    rules out every completion.
+    `slot_bound` limits the number of free slots phase 2 may search over;
+    beyond it SearchBoundExceeded is raised. Returns an empty set when
+    `validate` reports any violation, since each one rules out every
+    completion.
     """
     if validate(g):
-        return CompletionSet([], True, {})
+        return CompletionSet([], {})
     n = g.num_vertices
     listed = [g.listed(u) for u in range(n)]
     forced = forced_partners(g)
@@ -98,13 +96,8 @@ def enumerate_completions(g, cap=None, slot_bound=20):
 
     open_vertices = sorted(u for u in range(n) if free[u] > 0)
     solutions = []
-    exhaustive = True
 
     def backtrack(chosen, chosen_set):
-        nonlocal exhaustive
-        if cap is not None and len(solutions) >= cap:
-            exhaustive = False
-            return
         u = next((v for v in open_vertices if free[v] > 0), None)
         if u is None:
             solutions.append(tuple(chosen))
@@ -134,13 +127,10 @@ def enumerate_completions(g, cap=None, slot_bound=20):
             for w in combo:
                 free[w] += 1
             free[u] = k
-            if cap is not None and len(solutions) >= cap:
-                exhaustive = False
-                return
 
     backtrack([], set())
     slot_table = {u: (slots[u], sorted(forced.get(u, ()))) for u in slots}
-    return CompletionSet(solutions, exhaustive, slot_table)
+    return CompletionSet(solutions, slot_table)
 
 
 def components(g):
@@ -284,12 +274,12 @@ def is_small(C, eps_star, g):
     return sum(g.degree(v) for v in C) <= Fraction(4) / eps_star
 
 
-def high_degree_set(g, d_hat, eps, coeff=4):
-    """Vertices with degree above coeff * sqrt(n * d_hat / eps), exactly."""
+def high_degree_set(g, d_hat, eps):
+    """Vertices with degree above THRESHOLD_COEFF * sqrt(n * d_hat / eps), exactly."""
     d_hat = Fraction(d_hat)
     eps = Fraction(eps)
     n = g.num_vertices
-    cutoff_sq = Fraction(coeff**2) * n * d_hat / eps
+    cutoff_sq = Fraction(THRESHOLD_COEFF) ** 2 * n * d_hat / eps
     return {u for u in range(n) if Fraction(g.degree(u)) ** 2 > cutoff_sq}
 
 
@@ -339,7 +329,6 @@ def quality_edge_variant(g, completed):
 @dataclass
 class ExactReport:
     completions_count: int
-    exhaustive: bool
     min_components: "int | None"
     distance_to_connectedness: "Fraction | None"
     plain_witnesses: list
@@ -352,7 +341,8 @@ class ExactReport:
 
         return {
             "completions_count": self.completions_count,
-            "exhaustive": self.exhaustive,
+            # A report exists only once the enumeration has finished.
+            "exhaustive": True,
             "min_components": self.min_components,
             "distance_to_connectedness": frac(self.distance_to_connectedness),
             "plain_witnesses": [sorted(c) for c in self.plain_witnesses],
@@ -368,7 +358,7 @@ def exact_report(g, d_hat=None, eps=None, slot_bound=20):
     cs = enumerate_completions(g, slot_bound=slot_bound)
     min_comp = None
     dist = None
-    if cs.pairs and cs.exhaustive:
+    if cs.pairs:
         min_comp = min_completion_components(g, cs)
         if min_comp == 1:
             dist = Fraction(0)
@@ -380,7 +370,6 @@ def exact_report(g, d_hat=None, eps=None, slot_bound=20):
         chi = exact_exp_chi(g, d_hat, eps)
     return ExactReport(
         completions_count=len(cs),
-        exhaustive=cs.exhaustive,
         min_components=min_comp,
         distance_to_connectedness=dist,
         plain_witnesses=inv.plain,

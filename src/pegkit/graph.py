@@ -53,15 +53,11 @@ class PartiallyErasedGraph:
 
     __slots__ = ("_adj", "_n", "_entries", "_erased_total", "_listed", "_derived")
 
-    def __init__(self, adjacency, num_vertices=None):
+    def __init__(self, adjacency):
         adj = [tuple(row) for row in adjacency]
-        n = len(adj) if num_vertices is None else int(num_vertices)
+        n = len(adj)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(adj) > n:
-            raise ValueError(f"{len(adj)} adjacency rows for {n} vertices")
-        while len(adj) < n:
-            adj.append(())
         entries = erased = 0
         for u, row in enumerate(adj):
             entries += len(row)
@@ -423,7 +419,7 @@ def parse_peg(text):
                     raise ValueError(f"line {lineno}: entry {e} outside [0, {n})")
                 row.append(e)
         rows[u] = row
-    return PartiallyErasedGraph(rows, num_vertices=n)
+    return PartiallyErasedGraph(rows)
 
 
 def save_peg(g, path):

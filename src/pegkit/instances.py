@@ -235,7 +235,6 @@ def gen_far_forest(eps, alpha, n, davg_target=2.0, strategy="uniform", seed=0):
             edges = [(vs[i], vs[i + 1]) for i in range(size - 1)]
         comps.append(vs)
         comp_edges.append(edges)
-    assert next_v == n
     m = sum(len(r) for r in rows) // 2
     c0 = len(comps)
     budget = int(2 * Fraction(alpha) * m)

@@ -151,18 +151,14 @@ def test_bench_csv(tmp_path, capsys):
 
 
 def test_missing_graph_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["exact", "--graph", "/nonexistent.peg", "--what", "validate"])
-    assert exc.value.code == 2
+    assert main(["exact", "--graph", "/nonexistent.peg", "--what", "validate"]) == 2
 
 
 @pytest.mark.parametrize("line, token", [("v 0 01", "01"), ("v 0 1_0", "1_0"), ("v +0 1", "+0")])
 def test_non_plain_numbers_exit_2(tmp_path, capsys, line, token):
     peg = tmp_path / "p.peg"
     peg.write_text(f"peg 1\nn 11\n{line}\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["exact", "--graph", str(peg), "--what", "validate"])
-    assert exc.value.code == 2
+    assert main(["exact", "--graph", str(peg), "--what", "validate"]) == 2
     kind = "entry" if token in line.split()[2:] else "vertex id"
     assert capsys.readouterr().err == f"error: cannot read graph: line 3: bad {kind} {token!r}\n"
 
@@ -181,9 +177,7 @@ def test_non_plain_numbers_exit_2(tmp_path, capsys, line, token):
 def test_out_of_range_entry_exits_2(tmp_path, capsys, argv):
     peg = tmp_path / "p.peg"
     peg.write_text("peg 1\nn 2\nv 0 5\nv 1 0\n")
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--graph", str(peg)])
-    assert exc.value.code == 2
+    assert main([*argv, "--graph", str(peg)]) == 2
     out = capsys.readouterr()
     assert out.err == "error: cannot read graph: line 3: entry 5 outside [0, 2)\n"
     assert out.out == ""
@@ -258,6 +252,8 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
          "--trials must be a non-negative count, got -3"),
         (["bench", "--algo", "mid-alpha", "--sweep", "eps=0.2", "--trials", "-3"],
          "--trials must be a non-negative count, got -3"),
+        (["test-conn", "--algo", "unknown-davg", "--eps", "0.2", "--alpha", "-0.3"],
+         "need 0 < epsilon < 1 and 0 <= alpha < epsilon/2"),
     ],
 )
 def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):
@@ -282,6 +278,33 @@ def test_erase_unknown_strategy_exits_2(tmp_path, capsys):
     assert err == "error: unknown strategy 'zz'\n"
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "gminus", "--eps", "1/7", "--k", "4", "--out", "{bad}"],
+        ["gen", "--family", "gminus", "--eps", "1/7", "--k", "4", "--out", "{tmp}/x.peg",
+         "--manifest", "{bad}"],
+        ["erase", "--graph", "{peg}", "--alpha", "0.1", "--out", "{bad}"],
+        ["test-conn", "--graph", "{peg}", "--algo", "mid-alpha", "--eps", "0.2", "--trials", "2",
+         "--out", "{bad}"],
+        ["estimate", "--graph", "{peg}", "--eps", "0.25", "--trials", "1", "--out", "{bad}"],
+        ["bench", "--graph", "{peg}", "--algo", "mid-alpha", "--sweep", "eps=0.2", "--trials", "2",
+         "--out", "{bad}"],
+    ],
+    ids=["gen-out", "gen-manifest", "erase", "test-conn", "estimate", "bench"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    peg = tmp_path / "gm.peg"
+    save_peg(gen_gminus("1/7", 4, seed=7), str(peg))
+    bad = tmp_path / "missing" / "out"
+    paths = {"bad": bad, "tmp": tmp_path, "peg": peg}
+    code, stdout, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
+    assert stdout == ""
 
 
 # Fixed-seed runs whose exit code, stdout and output files must stay byte for

@@ -361,3 +361,5 @@ def test_parameter_validation():
         tester_no_erasures(g, ConnTesterConfig(0.4, 0.1, 2.0, 0))  # alpha != 0
     with pytest.raises(ValueError):
         tester_unknown_davg(g, 1.2, 0)
+    with pytest.raises(ValueError, match=r"0 <= alpha < epsilon/2"):
+        tester_unknown_davg(g, 0.2, 0, alpha=-0.3)

@@ -41,7 +41,7 @@ from pegkit.instances import (
 def test_zero_erasures_single_identity_completion():
     g = PartiallyErasedGraph([[1], [0]])
     cs = enumerate_completions(g)
-    assert cs.exhaustive and len(cs) == 1
+    assert len(cs) == 1
     assert cs.completions[0].apply(g) == g
 
 
@@ -81,12 +81,6 @@ def test_gminus_completions_are_odd_double_factorial(k, count):
     assert len(enumerate_completions(gen_gminus("1/7", k, seed=k))) == count
 
 
-def test_completion_cap_sets_partial_flag():
-    gm = gen_gminus("1/7", 4, seed=7)
-    cs = enumerate_completions(gm, cap=2)
-    assert not cs.exhaustive and len(cs) == len(cs.completions) == 2
-
-
 def test_slot_bound_guards_matching_search():
     rows = [[ERASED] for _ in range(30)]
     g = PartiallyErasedGraph(rows)
@@ -96,7 +90,7 @@ def test_slot_bound_guards_matching_search():
     forest = gen_far_forest(0.2, 0.15, 200, strategy="component-hiding", seed=1)
     assert forest.erased_total > 20
     cs = enumerate_completions(forest, slot_bound=20)
-    assert cs.exhaustive and len(cs) == 1
+    assert len(cs) == 1
 
 
 def test_uncompletable_inputs_give_empty_list():
@@ -148,7 +142,7 @@ MERGE_CASES = {
 def test_min_completion_components_matches_rebuilt_graphs(case):
     g = MERGE_CASES[case]()
     cs = enumerate_completions(g, slot_bound=24)
-    assert cs.exhaustive and len(cs) == len(cs.completions) >= 1
+    assert len(cs) == len(cs.completions) >= 1
     assert len(set(cs.completions)) == len(cs)
     rebuilt = [c.apply(g) for c in cs]
     assert all(full.erased_total == 0 for full in rebuilt)
@@ -229,7 +223,7 @@ def test_witnesses_are_components_of_every_completion():
         g = gen_far_forest(0.25, 0.2, 40, davg_target=1.8, strategy="uniform", seed=seed + 10)
         inv = inventory_witnesses(g)
         cs = enumerate_completions(g, slot_bound=40)
-        assert cs.exhaustive and cs.completions
+        assert cs.completions
         for completion in cs.completions:
             comp_sets = set(components(completion.apply(g)))
             for c in inv.plain:

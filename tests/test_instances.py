@@ -8,6 +8,7 @@ from pegkit.graph import ERASED, validate
 from pegkit.instances import (
     FamilySpec,
     InfeasibleParameters,
+    _far_forest_shapes,
     erase,
     gen_connected,
     gen_cycle_union,
@@ -122,6 +123,18 @@ def test_far_forest_component_hiding_kills_plain_witnesses():
     comps = components(g)
     assert all(any(g.erased_count(v) for v in c) for c in comps)
     assert g.erased_total == len(comps)  # exactly one erasure per component
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.2, 0.25, Fraction(1, 3), 0.5])
+@pytest.mark.parametrize("davg_target", [1.0, 1.6, 2.0])
+def test_far_forest_shapes_tile_n(eps, davg_target):
+    for n in range(1, 301):
+        try:
+            shapes = _far_forest_shapes(eps, n, davg_target)
+        except InfeasibleParameters:
+            continue
+        assert all(size >= 2 for _, size in shapes)
+        assert sum(size for _, size in shapes) == n
 
 
 def test_far_forest_davg_target():
