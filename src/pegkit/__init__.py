@@ -9,13 +9,12 @@
 - cli: the `pegkit` command
 """
 
-from .graph import ERASED, EdgeStatus, PartiallyErasedGraph, load_peg, parse_peg, save_peg, validate
+from .graph import ERASED, PartiallyErasedGraph, load_peg, parse_peg, save_peg, validate
 from .oracle import BLANK, BudgetExhausted, FilterOracle, QuerySession, split_seed
 
 __all__ = [
     "ERASED",
     "BLANK",
-    "EdgeStatus",
     "PartiallyErasedGraph",
     "QuerySession",
     "FilterOracle",

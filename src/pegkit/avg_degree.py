@@ -115,19 +115,7 @@ class DegreeEstimate:
     neighbor_queries: int
     crude: "float | None" = None
     iteration: "int | None" = None
-    seed: "int | None" = None
     conforming: bool = True
-
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "iteration": self.iteration,
-            "crude_used": self.crude,
-            "samples": self.samples,
-            "queries": {"degree": self.degree_queries, "neighbor": self.neighbor_queries},
-            "seed": self.seed,
-            "conforming": self.conforming,
-        }
 
 
 def sample_count(n, cfg):
@@ -249,7 +237,7 @@ def refine_estimate(g, cfg):
     (value,), s, degree, neighbor = refine_level(g, cfg, 1, QuerySession(g, seed=cfg.seed))
     return DegreeEstimate(
         value=value, samples=s, degree_queries=degree, neighbor_queries=neighbor,
-        crude=cfg.crude, seed=cfg.seed, conforming=cfg.conforming,
+        crude=cfg.crude, conforming=cfg.conforming,
     )
 
 
@@ -293,6 +281,5 @@ def estimate_avg_degree(g, epsilon, seed=0, sample_coeff=SAMPLE_COEFF, rep_coeff
         neighbor_queries=session.neighbor_queries,
         crude=crude,
         iteration=level,
-        seed=seed,
         conforming=is_conforming(sample_coeff, rep_coeff),
     )

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -101,6 +102,26 @@ def _resolve_davg(args, g):
     return davg
 
 
+def _claim_paths(paths):
+    """Open every path for writing, truncating none, before any output is written.
+
+    So a command with several outputs writes none unless all can be written.
+    On an OSError the files this call created are removed again.
+    """
+    created = []
+    try:
+        for path in paths:
+            existed = os.path.exists(path)
+            with open(path, "a"):
+                pass
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+
+
 def cmd_gen(args):
     params = {}
     for key in ("eps", "alpha", "davg"):
@@ -121,6 +142,8 @@ def cmd_gen(args):
     except instances.InfeasibleParameters as exc:
         print(f"error: infeasible parameters: {exc}", file=sys.stderr)
         return 2
+    if args.manifest:
+        _claim_paths([args.out, args.manifest])
     save_peg(g, args.out)
     if args.manifest:
         with open(args.manifest, "w") as fh:
@@ -310,8 +333,7 @@ def cmd_bench(args):
             raise UsageError(f"not a vertex count: {value!r}")
         else:
             sweep_g = instances.gen_far_forest(eps, alpha, int(value), seed=args.seed)
-        davg = sweep_g.avg_degree if args.davg in (None, "auto") else float(_ratio(args.davg))
-        for r in _run_conn_trials(args, sweep_g, eps, alpha, davg):
+        for r in _run_conn_trials(args, sweep_g, eps, alpha, _resolve_davg(args, sweep_g)):
             r_out = {"sweep_param": param, "sweep_value": value}
             r_out.update(r)
             rows.append(r_out)

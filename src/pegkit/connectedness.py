@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import ERASED, closure
 from .oracle import BudgetExhausted, QuerySession
@@ -190,31 +190,11 @@ class TesterVerdict:
     degree_queries: int
     neighbor_queries: int
     cap: "int | None"
-    seed: int
-    params: dict = field(default_factory=dict)
     aborted: bool = False
 
     @property
     def rejected(self):
         return not self.accepted
-
-    def to_dict(self):
-        w = None
-        if self.witness is not None:
-            w = {
-                "kind": self.witness.kind,
-                "vertices": sorted(self.witness.vertices),
-                "anchor": self.witness.anchor,
-            }
-        return {
-            "verdict": "accept" if self.accepted else "reject",
-            "witness": w,
-            "queries": {"degree": self.degree_queries, "neighbor": self.neighbor_queries},
-            "cap": self.cap,
-            "seed": self.seed,
-            "params": self.params,
-            "aborted": self.aborted,
-        }
 
 
 def small_alpha_plan(epsilon, alpha, davg):
@@ -279,15 +259,13 @@ def _search_levels(session, levels, vertex_case=False):
     return None, False
 
 
-def _verdict(session, witness, cap, params, aborted=False):
+def _verdict(session, witness, cap, aborted=False):
     return TesterVerdict(
         accepted=witness is None,
         witness=witness,
         degree_queries=session.degree_queries,
         neighbor_queries=session.neighbor_queries,
         cap=cap,
-        seed=session.seed,
-        params=params,
         aborted=aborted,
     )
 
@@ -301,19 +279,11 @@ def tester_small_alpha(g, cfg):
     times the schedule's expected cost.
     """
     _check_known_davg_params(cfg.epsilon, cfg.alpha, cfg.davg, 0.5)
-    b, vertex_case, schedule = small_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
+    _, vertex_case, schedule = small_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
     cap = small_alpha_query_cap(cfg.epsilon, cfg.alpha, cfg.davg)
     session = QuerySession(g, seed=cfg.seed, budget=cap, budget_counts="both")
-    params = {
-        "algorithm": "small-alpha",
-        "epsilon": cfg.epsilon,
-        "alpha": cfg.alpha,
-        "davg": cfg.davg,
-        "b": b,
-        "case": "vertex" if vertex_case else "edge",
-    }
     witness, aborted = _search_levels(session, schedule, vertex_case)
-    return _verdict(session, witness, cap, params, aborted)
+    return _verdict(session, witness, cap, aborted)
 
 
 def mid_alpha_plan(epsilon, alpha, davg):
@@ -336,16 +306,8 @@ def tester_mid_alpha(g, cfg):
     a generalized witness (at most one erasure).
     """
     _check_known_davg_params(cfg.epsilon, cfg.alpha, cfg.davg, 1.0)
-    b, reps, qcap = mid_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
+    _, reps, qcap = mid_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
     session = QuerySession(g, seed=cfg.seed)
-    params = {
-        "algorithm": "mid-alpha",
-        "epsilon": cfg.epsilon,
-        "alpha": cfg.alpha,
-        "davg": cfg.davg,
-        "b": b,
-        "bfs_cap": qcap,
-    }
     witness = None
     for _ in range(reps):
         s = session.random_vertex()
@@ -353,7 +315,7 @@ def tester_mid_alpha(g, cfg):
         witness = detect_generalized_witness(out)
         if witness is not None:
             break
-    return _verdict(session, witness, None, params)
+    return _verdict(session, witness, None)
 
 
 def tester_no_erasures(g, cfg):
@@ -363,15 +325,9 @@ def tester_no_erasures(g, cfg):
     _check_known_davg_params(cfg.epsilon, 0.0, cfg.davg, 1.0)
     t = max(1, math.ceil(math.log2(8 / (cfg.epsilon * cfg.davg))))
     session = QuerySession(g, seed=cfg.seed)
-    params = {
-        "algorithm": "no-erasure",
-        "epsilon": cfg.epsilon,
-        "davg": cfg.davg,
-        "levels": t,
-    }
     levels = [(i, math.ceil(2 ** (t - i) * LN6)) for i in range(1, t + 1)]
     witness, _ = _search_levels(session, levels)
-    return _verdict(session, witness, None, params)
+    return _verdict(session, witness, None)
 
 
 def unknown_davg_budget(epsilon):
@@ -392,21 +348,14 @@ def tester_unknown_davg(g, epsilon, seed=0, alpha=0.0):
     """
     if not (0 < epsilon < 1 and 0 <= alpha < epsilon / 2):
         raise ValueError("need 0 < epsilon < 1 and 0 <= alpha < epsilon/2")
-    eps_eff = epsilon - 2 * alpha
-    budget = unknown_davg_budget(eps_eff)
-    params = {
-        "algorithm": "unknown-davg",
-        "epsilon": epsilon,
-        "alpha": alpha,
-        "budget": budget,
-    }
+    budget = unknown_davg_budget(epsilon - 2 * alpha)
     session = QuerySession(g, seed=seed, budget=budget, budget_counts="neighbor")
     if g.num_vertices == 1:
-        return _verdict(session, None, budget, params)
+        return _verdict(session, None, budget)
     levels = (
         (i, math.ceil(2 ** max(t - i - 1, 0) * LN6))
         for t in itertools.count(1)
         for i in range(1, t + 1)
     )
     witness, aborted = _search_levels(session, levels)
-    return _verdict(session, witness, budget, params, aborted)
+    return _verdict(session, witness, budget, aborted)

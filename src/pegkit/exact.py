@@ -185,18 +185,22 @@ def min_completion_components(g, cs):
     return len(comps) - most_merges
 
 
+def _distance(g, min_comp):
+    """(min_comp - 1) / m as a fraction; None for an edgeless disconnected graph."""
+    if min_comp == 1:
+        return Fraction(0)
+    return Fraction(min_comp - 1, g.num_edges) if g.num_edges else None
+
+
 def distance_to_connectedness(g, slot_bound=20):
     """Exact distance: (min completion components - 1) / m, as a fraction."""
     cs = enumerate_completions(g, slot_bound=slot_bound)
     if not cs.pairs:
         raise Uncompletable("graph has no completion")
-    min_comp = min_completion_components(g, cs)
-    if min_comp == 1:
-        return Fraction(0)
-    m = g.num_edges
-    if m == 0:
+    dist = _distance(g, min_completion_components(g, cs))
+    if dist is None:
         raise ValueError("distance undefined for an edgeless disconnected graph")
-    return Fraction(min_comp - 1, m)
+    return dist
 
 
 def reach_listed(g, start):
@@ -356,14 +360,10 @@ class ExactReport:
 
 def exact_report(g, d_hat=None, eps=None, slot_bound=20):
     cs = enumerate_completions(g, slot_bound=slot_bound)
-    min_comp = None
-    dist = None
+    min_comp = dist = None
     if cs.pairs:
         min_comp = min_completion_components(g, cs)
-        if min_comp == 1:
-            dist = Fraction(0)
-        elif g.num_edges > 0:
-            dist = Fraction(min_comp - 1, g.num_edges)
+        dist = _distance(g, min_comp)
     inv = inventory_witnesses(g)
     chi = None
     if d_hat is not None and eps is not None:

@@ -11,7 +11,6 @@ derived as half the total list length, never stored separately.
 
 from __future__ import annotations
 
-import enum
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -34,12 +33,6 @@ class _ErasedMark:
 
 
 ERASED = _ErasedMark()
-
-
-class EdgeStatus(enum.Enum):
-    NONERASED = "nonerased"
-    HALF_ERASED = "half-erased"
-    ABSENT = "absent"
 
 
 class PartiallyErasedGraph:
@@ -133,24 +126,6 @@ class PartiallyErasedGraph:
         if total == 0:
             return Fraction(0)
         return Fraction(self._erased_total, total)
-
-    def classify_pair(self, u, v):
-        """Classify the pair {u, v}: returns (EdgeStatus, lister).
-
-        For a half-erased edge, `lister` is the vertex whose list contains
-        the other one; otherwise it is None.
-        """
-        if u == v:
-            raise ValueError("classify_pair needs two distinct vertices")
-        uv = v in self.listed(u)
-        vu = u in self.listed(v)
-        if uv and vu:
-            return EdgeStatus.NONERASED, None
-        if uv:
-            return EdgeStatus.HALF_ERASED, u
-        if vu:
-            return EdgeStatus.HALF_ERASED, v
-        return EdgeStatus.ABSENT, None
 
     def flat_adjacency(self):
         """(degrees, offsets, entries) numpy arrays with -1 marking erasures.

@@ -386,12 +386,8 @@ def generate(spec):
         g = gen_g1(p["alpha"], p["n"], spec.seed)
     elif fam == "g2":
         g = gen_g2(p["alpha"], p["n"], spec.seed)
-    elif fam in ("fig1", "two-erasure"):
-        gadget = gen_fig_component("two-erasure", spec.seed, p.get("host_size", 24))
-        g = gadget.graph
-        extra["gadget_vertices"] = sorted(gadget.gadget_vertices)
-    elif fam in ("fig2", "one-erasure-anchored"):
-        gadget = gen_fig_component("one-erasure-anchored", spec.seed, p.get("host_size", 24))
+    elif fam in _FIG_KINDS:
+        gadget = gen_fig_component(fam, spec.seed, p.get("host_size", 24))
         g = gadget.graph
         extra["gadget_vertices"] = sorted(gadget.gadget_vertices)
     elif fam == "far-forest":

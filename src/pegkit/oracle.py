@@ -42,7 +42,6 @@ class QuerySession:
         if budget_counts not in ("both", "neighbor"):
             raise ValueError(f"bad budget_counts {budget_counts!r}")
         self.graph = graph
-        self.seed = seed
         self.rng = random.Random(seed)
         self.budget = budget
         self.budget_counts = budget_counts

@@ -53,6 +53,9 @@ def test_gen_infeasible_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert err == "error: infeasible parameters: need at least one vertex\n"
+    code, _, err = run(capsys, "gen", "--family", "fig1", "--out", str(tmp_path / "x.peg"))
+    assert code == 2
+    assert err == "error: infeasible parameters: unknown family 'fig1'\n"
     assert not (tmp_path / "x.peg").exists()
 
 
@@ -148,6 +151,25 @@ def test_bench_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("sweep_param,sweep_value,trial,")
     assert len(lines) == 11
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test-conn", "--algo", "mid-alpha", "--eps", "0.2", "--trials", "2"],
+        ["bench", "--algo", "mid-alpha", "--sweep", "eps=0.2", "--trials", "2"],
+    ],
+    ids=["test-conn", "bench"],
+)
+def test_supplied_davg_mismatch_warns(tmp_path, capsys, argv):
+    peg = tmp_path / "gm.peg"
+    save_peg(gen_gminus("1/7", 4, seed=7), str(peg))
+    code, _, err = run(capsys, *argv, "--graph", str(peg), "--davg", "5")
+    assert code == 0
+    assert err == (
+        "warning: supplied davg 5.0 differs from the graph's 2.1538461538461537; "
+        "proceeding with the supplied value\n"
+    )
 
 
 def test_missing_graph_exits_2(capsys):
@@ -305,6 +327,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(bad) in err
     assert stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["gm.peg"]
 
 
 # Fixed-seed runs whose exit code, stdout and output files must stay byte for

@@ -176,6 +176,15 @@ def test_distance_uncompletable_raises():
         distance_to_connectedness(g)
 
 
+def test_distance_edgeless_disconnected():
+    g = PartiallyErasedGraph([[], []])
+    with pytest.raises(ValueError, match="edgeless disconnected"):
+        distance_to_connectedness(g)
+    rep = exact_report(g)
+    assert (rep.min_components, rep.distance_to_connectedness) == (2, None)
+    assert distance_to_connectedness(PartiallyErasedGraph([[]])) == 0
+
+
 def test_components_agree_with_networkx():
     for seed in range(4):
         g = gen_far_forest(0.2, 0.0, 80, davg_target=1.8, seed=seed)

@@ -1,4 +1,3 @@
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,6 @@ from pegkit.exact import enumerate_completions
 from pegkit.graph import (
     ERASED,
     Completion,
-    EdgeStatus,
     PartiallyErasedGraph,
     erase_slots,
     format_peg,
@@ -55,27 +53,6 @@ def test_neighbor_is_one_based_and_bounded():
         g.neighbor(0, 3)
     with pytest.raises(IndexError):
         g.degree(5)
-
-
-def test_classify_pair_cases():
-    g = PartiallyErasedGraph([[1], [0, 2], [ERASED], []])
-    assert g.classify_pair(0, 1) == (EdgeStatus.NONERASED, None)
-    assert g.classify_pair(1, 2) == (EdgeStatus.HALF_ERASED, 1)
-    assert g.classify_pair(2, 1) == (EdgeStatus.HALF_ERASED, 1)
-    assert g.classify_pair(0, 3) == (EdgeStatus.ABSENT, None)
-    with pytest.raises(ValueError):
-        g.classify_pair(1, 1)
-
-
-def test_classify_pair_symmetric_up_to_direction():
-    rng = random.Random(4)
-    g = erase(gen_connected(30, 2.5, seed=1), 0.2, "uniform", seed=2)
-    for _ in range(200):
-        u, v = rng.sample(range(30), 2)
-        st_uv, lister_uv = g.classify_pair(u, v)
-        st_vu, lister_vu = g.classify_pair(v, u)
-        assert st_uv == st_vu
-        assert lister_uv == lister_vu
 
 
 def test_validate_accepts_generator_output():

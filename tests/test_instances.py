@@ -198,7 +198,7 @@ def test_generate_dispatch_and_manifest():
     assert manifest["family"] == "gminus"
     assert manifest["properties"]["n"] == 13
     assert manifest["properties"]["erasure_fraction"] == "1/7"
-    fig, manifest = generate(FamilySpec("fig2", {}, seed=1))
+    fig, manifest = generate(FamilySpec("one-erasure-anchored", {}, seed=1))
     assert len(manifest["properties"]["gadget_vertices"]) == 3
     with pytest.raises(InfeasibleParameters):
         generate(FamilySpec("no-such-family", {}, seed=0))
