@@ -316,10 +316,15 @@ def cmd_exact(args):
 
 
 def cmd_bench(args):
-    g = _load_graph(args)
     param, _, values = args.sweep.partition("=")
     if param not in ("eps", "alpha", "n") or not values:
         raise UsageError("--sweep must look like eps=0.1,0.2")
+    # An n sweep runs on fresh far forests and never reads --graph.
+    g = None
+    if param != "n":
+        if args.graph is None:
+            raise UsageError(f"--sweep {param}=... needs --graph")
+        g = _load_graph(args)
     rows = []
     for value in values.split(","):
         sweep_g = g
@@ -410,7 +415,7 @@ def build_parser():
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("bench", help="sweep one parameter, emit tidy CSV")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", help="the graph an eps or alpha sweep runs on")
     p.add_argument("--algo", required=True, choices=sorted(_ALGOS))
     p.add_argument("--sweep", required=True, help="eps=...|alpha=...|n=... comma separated")
     p.add_argument("--eps", default="0.2")

@@ -80,7 +80,6 @@ def enumerate_completions(g, slot_bound=20):
     if validate(g):
         return CompletionSet([], {})
     n = g.num_vertices
-    listed = [g.listed(u) for u in range(n)]
     forced = forced_partners(g)
     slots = {u: s for u in range(n) if (s := g.erased_slots(u))}
     free = [len(slots.get(u, ())) - len(forced.get(u, ())) for u in range(n)]
@@ -89,46 +88,42 @@ def enumerate_completions(g, slot_bound=20):
             f"{sum(free)} free erased slots exceed the search bound {slot_bound}"
         )
 
-    base_pairs = set()
-    for u in range(n):
-        for w in listed[u]:
-            base_pairs.add((u, w) if u < w else (w, u))
-
-    open_vertices = sorted(u for u in range(n) if free[u] > 0)
+    # Each open vertex pairs only with later open vertices it does not list
+    # and that do not list it; the search takes them in ascending order.
+    open_vertices = [u for u in range(n) if free[u] > 0]
+    later = {
+        u: [w for w in open_vertices[i + 1:] if w not in g.listed(u) and u not in g.listed(w)]
+        for i, u in enumerate(open_vertices)
+    }
     solutions = []
+    chosen = []
 
-    def backtrack(chosen, chosen_set):
-        u = next((v for v in open_vertices if free[v] > 0), None)
-        if u is None:
+    def backtrack(i):
+        # The first open vertex u with free slots takes all of them at once.
+        # Every pair chosen so far starts before u, so (u, w) is never a
+        # repeat and is already normalised.
+        while i < len(open_vertices) and free[open_vertices[i]] == 0:
+            i += 1
+        if i == len(open_vertices):
             solutions.append(tuple(chosen))
             return
-        candidates = [
-            w
-            for w in open_vertices
-            if w != u
-            and free[w] > 0
-            and ((u, w) if u < w else (w, u)) not in base_pairs
-            and ((u, w) if u < w else (w, u)) not in chosen_set
-        ]
+        u = open_vertices[i]
         k = free[u]
+        candidates = [w for w in later[u] if free[w] > 0]
         if len(candidates) < k:
             return
+        free[u] = 0
         for combo in itertools.combinations(candidates, k):
-            pairs = [((u, w) if u < w else (w, u)) for w in combo]
-            free[u] = 0
             for w in combo:
                 free[w] -= 1
-            chosen.extend(pairs)
-            chosen_set.update(pairs)
-            backtrack(chosen, chosen_set)
-            for p in pairs:
-                chosen.remove(p)
-                chosen_set.remove(p)
+                chosen.append((u, w))
+            backtrack(i + 1)
+            del chosen[-k:]
             for w in combo:
                 free[w] += 1
-            free[u] = k
+        free[u] = k
 
-    backtrack([], set())
+    backtrack(0)
     slot_table = {u: (slots[u], sorted(forced.get(u, ()))) for u in slots}
     return CompletionSet(solutions, slot_table)
 
@@ -221,6 +216,30 @@ def _erasure_holder(g, C):
     return None
 
 
+def _mutual(g, C):
+    """Whether every link listed from a vertex of C is listed back."""
+    return all(u in g.listed(w) for u in C for w in g.listed(u))
+
+
+def _reach_sets(g):
+    """reach_listed(g, v) for every vertex v, as a list indexed by v.
+
+    In a component whose listed links are all mutual, every vertex reaches
+    the whole component, so its vertices share that one frozenset. Only a
+    component holding a half-erased edge (or another one-way link) takes a
+    closure per vertex, which is quadratic in that component's size.
+    """
+    reach = [None] * g.num_vertices
+    for comp in components(g):
+        if _mutual(g, comp):
+            for v in comp:
+                reach[v] = comp
+        else:
+            for v in comp:
+                reach[v] = reach_listed(g, v)
+    return reach
+
+
 def inventory_witnesses(g):
     """All witnesses to disconnectedness, plain and generalized.
 
@@ -231,33 +250,37 @@ def inventory_witnesses(g):
     set. Zero-erasure witnesses are generalized too, with every vertex an
     anchor.
     """
+    return _inventory(g, _reach_sets(g))
+
+
+def _inventory(g, reach):
+    """inventory_witnesses(g), given g's reach sets; each distinct set is checked once."""
     n = g.num_vertices
-    reach = [reach_listed(g, v) for v in range(n)]
-    plain = set()
+    plain = []
     generalized = {}
-    for C in reach:
+    for C in dict.fromkeys(reach):
         if len(C) >= n:
             continue
         erasures = sum(g.erased_count(u) for u in C)
         if erasures == 0:
-            if all(u in g.listed(w) for u in C for w in g.listed(u)):
-                plain.add(C)
-                generalized[C] = set(C)
+            if _mutual(g, C):
+                plain.append(C)
+                generalized[C] = C
         elif erasures == 1:
             holder = _erasure_holder(g, C)
             listed_holder = g.listed(holder)
-            anchors = {
+            anchors = frozenset(
                 w
                 for w in C
                 if w != holder
                 and w not in listed_holder
                 and holder in g.listed(w)
                 and reach[w] == C
-            }
+            )
             if anchors:
-                generalized.setdefault(C, set()).update(anchors)
+                generalized[C] = anchors
     plain_list = sorted(plain, key=sorted)
-    gen_list = [(C, frozenset(a)) for C, a in sorted(generalized.items(), key=lambda kv: sorted(kv[0]))]
+    gen_list = sorted(generalized.items(), key=lambda kv: sorted(kv[0]))
     return WitnessInventory(plain_list, gen_list)
 
 
@@ -407,11 +430,9 @@ def small_alpha_rejection_probability(g, epsilon, alpha, davg):
 def mid_alpha_rejection_probability(g, epsilon, alpha, davg):
     n = g.num_vertices
     _, reps, qcap = mid_alpha_plan(epsilon, alpha, davg)
-    witnesses = {C for C, _ in inventory_witnesses(g).generalized}
-    detected = 0
-    for s in range(n):
-        C = reach_listed(g, s)
-        if C in witnesses and sum(g.degree(v) for v in C) <= qcap:
-            detected += 1
-    p = detected / n
+    reach = _reach_sets(g)
+    detecting = {
+        C for C, _ in _inventory(g, reach).generalized if sum(g.degree(v) for v in C) <= qcap
+    }
+    p = sum(1 for C in reach if C in detecting) / n
     return 1.0 - (1.0 - p) ** reps

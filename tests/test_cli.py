@@ -176,6 +176,25 @@ def test_missing_graph_exits_2(capsys):
     assert main(["exact", "--graph", "/nonexistent.peg", "--what", "validate"]) == 2
 
 
+@pytest.mark.parametrize("graph", [[], ["--graph", "nope.peg"]], ids=["no-graph", "unread-graph"])
+def test_bench_n_sweep_never_reads_graph(tmp_path, capsys, graph):
+    out = tmp_path / "n.csv"
+    code, _, err = run(
+        capsys, "bench", *graph, "--algo", "mid-alpha", "--sweep", "n=50", "--trials", "2",
+        "--out", str(out),
+    )
+    assert (code, err) == (0, "")
+    assert len(out.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("param", ["eps", "alpha"])
+def test_bench_eps_or_alpha_sweep_needs_graph(capsys, param):
+    code, stdout, err = run(capsys, "bench", "--algo", "mid-alpha", "--sweep", f"{param}=0.1")
+    assert code == 2
+    assert err == f"error: --sweep {param}=... needs --graph\n"
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("line, token", [("v 0 01", "01"), ("v 0 1_0", "1_0"), ("v +0 1", "+0")])
 def test_non_plain_numbers_exit_2(tmp_path, capsys, line, token):
     peg = tmp_path / "p.peg"

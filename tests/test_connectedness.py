@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pegkit.connectedness import (
     ConnTesterConfig,
@@ -175,6 +177,33 @@ def test_one_sided_error_all_testers():
             if alpha == 0:
                 assert tester_no_erasures(g, ConnTesterConfig(eps, 0.0, davg, seed)).accepted
                 assert tester_unknown_davg(g, eps, seed).accepted
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    davg=st.sampled_from([2.0, 2.6, 3.4]),
+    alpha=st.sampled_from([0.02, 0.06, 0.1]),
+    seed=st.integers(0, 2**16),
+)
+def test_one_sided_error_on_erased_connected_graphs(n, davg, alpha, seed):
+    # Every strategy leaves the original graph as a completion, so a
+    # rejection would be an error. The no-erasure and unknown-davg testers run
+    # with their alpha = 0 promise broken: they halt on any erasure, so they
+    # may still only reject on a closed erasure-free set.
+    base = gen_connected(n, davg, seed=seed)
+    for strategy in ("uniform", "halves", "symmetric"):
+        g = erase(base, alpha, strategy, seed=seed + 1)
+        d, a = g.avg_degree, float(g.erasure_fraction())
+        eps = min(0.45, 1.8 / d)
+        assert a < eps / 2
+        assert small_alpha_rejection_probability(g, eps, a, d) == 0.0
+        assert mid_alpha_rejection_probability(g, eps, a, d) == 0.0
+        for t in range(3):
+            assert tester_small_alpha(g, ConnTesterConfig(eps, a, d, t)).accepted
+            assert tester_mid_alpha(g, ConnTesterConfig(eps, a, d, t)).accepted
+            assert tester_no_erasures(g, ConnTesterConfig(eps, 0.0, d, t)).accepted
+            assert tester_unknown_davg(g, eps, t).accepted
 
 
 # --- testers: far-case power ----------------------------------------------

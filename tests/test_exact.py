@@ -1,13 +1,22 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pegkit import exact
+
+from pegkit.connectedness import mid_alpha_plan
 from pegkit.exact import (
     SearchBoundExceeded,
     Uncompletable,
+    WitnessInventory,
     components,
     distance_to_connectedness,
     enumerate_completions,
@@ -21,8 +30,9 @@ from pegkit.exact import (
     quality_edge_variant,
     quality_vertex_variant,
     reach_listed,
+    small_alpha_rejection_probability,
 )
-from pegkit.graph import ERASED, PartiallyErasedGraph
+from pegkit.graph import ERASED, PartiallyErasedGraph, forced_partners, validate
 from pegkit.instances import (
     erase,
     gen_connected,
@@ -373,3 +383,212 @@ def test_exact_report_serializes_rationals():
     assert d["distance_to_connectedness"] == "1/7"
     assert d["completions_count"] == 3
     assert "/" in d["exp_chi"]
+
+
+# --- references: the per-vertex inventory and the first backtracking search ----
+#
+# The exact oracles share one reach set per mutual component and build each
+# open vertex's partner list once. These are the versions they replaced, kept
+# to check that the outputs did not move.
+
+
+def _reference_inventory(g):
+    n = g.num_vertices
+    reach = [reach_listed(g, v) for v in range(n)]
+    plain = set()
+    generalized = {}
+    for C in reach:
+        if len(C) >= n:
+            continue
+        erasures = sum(g.erased_count(u) for u in C)
+        if erasures == 0:
+            if all(u in g.listed(w) for u in C for w in g.listed(u)):
+                plain.add(C)
+                generalized[C] = set(C)
+        elif erasures == 1:
+            holder = next(u for u in sorted(C) if g.erased_count(u) > 0)
+            listed_holder = g.listed(holder)
+            anchors = {
+                w
+                for w in C
+                if w != holder
+                and w not in listed_holder
+                and holder in g.listed(w)
+                and reach[w] == C
+            }
+            if anchors:
+                generalized.setdefault(C, set()).update(anchors)
+    plain_list = sorted(plain, key=sorted)
+    gen_list = [(C, frozenset(a)) for C, a in sorted(generalized.items(), key=lambda kv: sorted(kv[0]))]
+    return WitnessInventory(plain_list, gen_list)
+
+
+def _reference_mid_alpha(g, epsilon, alpha, davg):
+    n = g.num_vertices
+    _, reps, qcap = mid_alpha_plan(epsilon, alpha, davg)
+    witnesses = {C for C, _ in _reference_inventory(g).generalized}
+    detected = 0
+    for s in range(n):
+        C = reach_listed(g, s)
+        if C in witnesses and sum(g.degree(v) for v in C) <= qcap:
+            detected += 1
+    p = detected / n
+    return 1.0 - (1.0 - p) ** reps
+
+
+def _reference_small_alpha(g, epsilon, alpha, davg):
+    with mock.patch.object(exact, "inventory_witnesses", _reference_inventory):
+        return small_alpha_rejection_probability(g, epsilon, alpha, davg)
+
+
+def _reference_pairs(g, slot_bound):
+    if validate(g):
+        return []
+    n = g.num_vertices
+    listed = [g.listed(u) for u in range(n)]
+    forced = forced_partners(g)
+    free = [len(g.erased_slots(u)) - len(forced.get(u, ())) for u in range(n)]
+    if sum(free) > slot_bound:
+        return None
+    base_pairs = set()
+    for u in range(n):
+        for w in listed[u]:
+            base_pairs.add((u, w) if u < w else (w, u))
+    open_vertices = sorted(u for u in range(n) if free[u] > 0)
+    solutions = []
+
+    def backtrack(chosen, chosen_set):
+        u = next((v for v in open_vertices if free[v] > 0), None)
+        if u is None:
+            solutions.append(tuple(chosen))
+            return
+        candidates = [
+            w
+            for w in open_vertices
+            if w != u
+            and free[w] > 0
+            and ((u, w) if u < w else (w, u)) not in base_pairs
+            and ((u, w) if u < w else (w, u)) not in chosen_set
+        ]
+        k = free[u]
+        if len(candidates) < k:
+            return
+        for combo in itertools.combinations(candidates, k):
+            pairs = [((u, w) if u < w else (w, u)) for w in combo]
+            free[u] = 0
+            for w in combo:
+                free[w] -= 1
+            chosen.extend(pairs)
+            chosen_set.update(pairs)
+            backtrack(chosen, chosen_set)
+            for p in pairs:
+                chosen.remove(p)
+                chosen_set.remove(p)
+            for w in combo:
+                free[w] += 1
+            free[u] = k
+
+    backtrack([], set())
+    return solutions
+
+
+def _assert_matches_references(g, slot_bound=24):
+    assert exact._reach_sets(g) == [reach_listed(g, v) for v in range(g.num_vertices)]
+    assert inventory_witnesses(g) == _reference_inventory(g)
+    if g.num_entries:
+        davg = g.avg_degree
+        for eps, alpha in ((0.3, 0.0), (0.3, 0.02), (0.45, 0.1)):
+            assert mid_alpha_rejection_probability(g, eps, alpha, davg) == _reference_mid_alpha(
+                g, eps, alpha, davg
+            )
+            assert small_alpha_rejection_probability(g, eps, alpha, davg) == _reference_small_alpha(
+                g, eps, alpha, davg
+            )
+    expected = _reference_pairs(g, slot_bound)
+    if expected is None:
+        with pytest.raises(SearchBoundExceeded):
+            enumerate_completions(g, slot_bound=slot_bound)
+    else:
+        assert enumerate_completions(g, slot_bound=slot_bound).pairs == expected
+
+
+def _fig_graph(kind):
+    return gen_fig_component(kind, seed=9).graph
+
+
+REFERENCE_CASES = {
+    **MERGE_CASES,
+    **{f"fig-{kind}": partial(_fig_graph, kind) for kind in ("two-erasure", "one-erasure-anchored")},
+    "g2-13": partial(gen_g2, "1/3", 13, seed=1),
+    "gminus-10": partial(gen_gminus, "1/7", 10, seed=10),
+    "one-way-triangle": lambda: PartiallyErasedGraph([[1], [2], [0], [4], [3]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_exact_oracles_match_references_on_corpus(case):
+    _assert_matches_references(REFERENCE_CASES[case]())
+
+
+@st.composite
+def erased_simple_graphs(draw):
+    """A simple graph with some edges erased on both sides (free slots) and
+    some single entries erased (forced fills); it validates cleanly."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        hidden = draw(st.sampled_from(("none", "both", "u", "v")))
+        rows[u].append(ERASED if hidden in ("both", "u") else v)
+        rows[v].append(ERASED if hidden in ("both", "v") else u)
+    return PartiallyErasedGraph(rows)
+
+
+@st.composite
+def arbitrary_graphs(draw):
+    """Rows of in-range ids and erasures with no symmetry: most fail `validate`,
+    and one-way links are common."""
+    n = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(ERASED), st.integers(0, n - 1))
+    return PartiallyErasedGraph(draw(st.lists(st.lists(entry, max_size=4), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(erased_simple_graphs(), arbitrary_graphs()))
+def test_exact_oracles_match_references_on_generated_graphs(g):
+    _assert_matches_references(g)
+
+
+def _path_plus_edge(n):
+    """A path on n vertices beside a single edge: two mutual components."""
+    rows = [[] for _ in range(n + 2)]
+    for i in range(n - 1):
+        rows[i].append(i + 1)
+        rows[i + 1].append(i)
+    rows[n].append(n + 1)
+    rows[n + 1].append(n)
+    return PartiallyErasedGraph(rows)
+
+
+def test_exact_oracles_on_a_long_path_are_fast():
+    # One closure per vertex took ~42 s on a 2-core host; shared reach sets take ~0.04 s.
+    g = _path_plus_edge(4000)
+    t0 = time.perf_counter()
+    inv = inventory_witnesses(g)
+    p_small = small_alpha_rejection_probability(g, 0.2, 0.0, g.avg_degree)
+    p_mid = mid_alpha_rejection_probability(g, 0.2, 0.0, g.avg_degree)
+    elapsed = time.perf_counter() - t0
+    assert sorted(len(c) for c in inv.plain) == [2, 4000]
+    assert 0 < p_small < 1 and 0 < p_mid < 1
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_exact_probabilities_on_a_large_connected_graph():
+    t0 = time.perf_counter()
+    g = gen_connected(50_000, 3.0, seed=1)
+    davg = g.avg_degree
+    assert small_alpha_rejection_probability(g, 0.2, 0.0, davg) == 0.0
+    assert mid_alpha_rejection_probability(g, 0.2, 0.0, davg) == 0.0
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"{elapsed:.1f} s"
