@@ -164,8 +164,18 @@ def credit_counts(g):
 
 
 def _credit_class_table(g):
-    table, count = np.unique(np.stack(credit_counts(g), axis=1), axis=0, return_counts=True)
-    return table[:, 0], table[:, 1], table[:, 2], count
+    """The distinct (degree, d_bot, d_plus) rows in lexicographic order, with counts.
+
+    One lexsort of the per-vertex columns, then a new class wherever a column
+    changes between neighbouring rows.
+    """
+    columns = credit_counts(g)
+    order = np.lexsort(columns[::-1])
+    deg, bot, plus = (c[order] for c in columns)
+    starts = np.flatnonzero(
+        np.concatenate(([True], (deg[1:] != deg[:-1]) | (bot[1:] != bot[:-1]) | (plus[1:] != plus[:-1])))
+    )
+    return deg[starts], bot[starts], plus[starts], np.diff(starts, append=len(deg))
 
 
 def credit_classes(g):
@@ -175,6 +185,25 @@ def credit_classes(g):
     of the sampled vertex. Built once per graph and cached on it.
     """
     return g.cached(_credit_class_table)
+
+
+def _level_free_terms(g):
+    """The parts of `credit_outcomes` that do not depend on tau, built once per graph.
+
+    -> (class weight count/n per slot, weight*bot and weight*plus, each class's
+    rank among the distinct degrees, the distinct degrees, isolated mass,
+    total weight of listed slots). The class table is sorted by degree, so a
+    tau's credited classes are one run of it and their distinct degrees one
+    slice of the distinct degrees.
+    """
+    deg, bot, plus, count = credit_classes(g)
+    n = g.num_vertices
+    weight = count / (n * np.maximum(deg, 1))  # an isolated class has no slots
+    new_degree = np.concatenate(([True], deg[1:] != deg[:-1]))
+    return (
+        weight, (weight * bot, weight * plus), np.cumsum(new_degree) - 1, deg[new_degree],
+        np.sum(count[deg == 0]) / n, np.dot(weight, deg - bot - plus),
+    )
 
 
 def credit_outcomes(g, tau):
@@ -187,20 +216,17 @@ def credit_outcomes(g, tau):
     probability sums, over the credit classes, class weight count/n times
     the share of the class's slots in that outcome.
     """
-    deg, bot, plus, count = credit_classes(g)
-    live = deg > 0
-    credited = live & (deg <= tau * (1 + _THRESHOLD_RTOL))
-    weight = count / (g.num_vertices * np.maximum(deg, 1))  # an isolated class has no slots
-    degrees, idx = np.unique(deg[credited], return_inverse=True)
-    k = len(degrees)
-    paid = [np.bincount(idx, (weight * slots)[credited], k) for slots in (bot, plus)]
-    unpaid = [
-        np.sum(count[~live]) / g.num_vertices,
-        np.dot(weight[~credited], bot[~credited]),
-        np.dot(weight, deg - bot - plus) + np.dot(weight[~credited], plus[~credited]),
-    ]
+    deg, bot, plus, _ = credit_classes(g)
+    weight, slot_weights, rank, degrees, isolated, listed = g.cached(_level_free_terms)
+    cutoff = tau * (1 + _THRESHOLD_RTOL)
+    credited = (deg > 0) & (deg <= cutoff)
+    first, stop = np.searchsorted(degrees, [0, cutoff], side="right").tolist()
+    k, idx = stop - first, rank[credited] - first
+    paid = [np.bincount(idx, w[credited], k) for w in slot_weights]
+    rest = ~credited
+    unpaid = [isolated, np.dot(weight[rest], bot[rest]), listed + np.dot(weight[rest], plus[rest])]
     p = np.concatenate([unpaid, *paid])
-    value = np.concatenate([np.zeros(3), degrees, degrees])
+    value = np.concatenate([np.zeros(3), degrees[first:stop], degrees[first:stop]])
     erased = np.repeat([False, True, False, True, False], [1, 1, 1, k, k])
     return p, value, erased
 

@@ -15,6 +15,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 
@@ -128,22 +129,19 @@ class PartiallyErasedGraph:
         return Fraction(self._erased_total, total)
 
     def flat_adjacency(self):
-        """(degrees, offsets, entries) numpy arrays with -1 marking erasures.
+        """(degrees, offsets, entries) int64 numpy arrays with -1 marking erasures.
 
         Built on each call; the estimator's credit-class table, which is
         derived from them, is the part kept with the graph.
         """
         import numpy as np
 
-        degrees = np.fromiter((len(row) for row in self._adj), dtype=np.int64, count=self._n)
+        degrees = np.fromiter(map(len, self._adj), dtype=np.int64, count=self._n)
         offsets = np.zeros(self._n, dtype=np.int64)
         np.cumsum(degrees[:-1], out=offsets[1:])
-        flat = np.fromiter(
-            (-1 if e is ERASED else e for row in self._adj for e in row),
-            dtype=np.int64,
-            count=int(degrees.sum()),
-        )
-        return degrees, offsets, flat
+        objs = np.fromiter(chain.from_iterable(self._adj), dtype=object, count=self._entries)
+        objs[objs == ERASED] = -1  # an int never compares equal to the mark
+        return degrees, offsets, objs.astype(np.int64)
 
     def cached(self, build):
         """build(self), computed on first use and kept with the graph.

@@ -5,8 +5,12 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pegkit import avg_degree
 from pegkit.avg_degree import (
     DegreeEstimatorConfig,
     REP_COEFF,
@@ -26,7 +30,7 @@ from pegkit.avg_degree import (
 )
 from pegkit.exact import exact_exp_chi
 from pegkit.graph import ERASED, PartiallyErasedGraph, erase_slots
-from pegkit.instances import erase, gen_connected, gen_random_regularish
+from pegkit.instances import erase, gen_connected, gen_g1, gen_g2, gen_random_regularish
 from pegkit.oracle import QuerySession, split_seed
 
 
@@ -168,6 +172,123 @@ def test_credit_classes_match_scalar_reference():
         got = {(int(a), int(b), int(c)): int(k) for a, b, c, k in zip(deg, bot, plus, count)}
         assert got == expected
         assert credit_classes(g) is credit_classes(g)
+
+
+# The class table and flat adjacency as first written: references for the
+# sorted, C-built versions, which must give the same arrays in the same order.
+
+
+def reference_class_table(g):
+    table, count = np.unique(np.stack(credit_counts(g), axis=1), axis=0, return_counts=True)
+    return table[:, 0], table[:, 1], table[:, 2], count
+
+
+def reference_flat_adjacency(g):
+    n = g.num_vertices
+    rows = [g.entries(u) for u in range(n)]
+    degrees = np.fromiter((len(row) for row in rows), dtype=np.int64, count=n)
+    offsets = np.zeros(n, dtype=np.int64)
+    np.cumsum(degrees[:-1], out=offsets[1:])
+    flat = np.fromiter(
+        (-1 if e is ERASED else e for row in rows for e in row), dtype=np.int64, count=int(degrees.sum())
+    )
+    return degrees, offsets, flat
+
+
+def reference_outcomes(g, tau):
+    """`credit_outcomes` as first written, over the reference class table."""
+    deg, bot, plus, count = reference_class_table(g)
+    live = deg > 0
+    credited = live & (deg <= tau * (1 + avg_degree._THRESHOLD_RTOL))
+    weight = count / (g.num_vertices * np.maximum(deg, 1))
+    degrees, idx = np.unique(deg[credited], return_inverse=True)
+    k = len(degrees)
+    paid = [np.bincount(idx, (weight * slots)[credited], k) for slots in (bot, plus)]
+    unpaid = [
+        np.sum(count[~live]) / g.num_vertices,
+        np.dot(weight[~credited], bot[~credited]),
+        np.dot(weight, deg - bot - plus) + np.dot(weight[~credited], plus[~credited]),
+    ]
+    p = np.concatenate([unpaid, *paid])
+    value = np.concatenate([np.zeros(3), degrees, degrees])
+    erased = np.repeat([False, True, False, True, False], [1, 1, 1, k, k])
+    return p, value, erased
+
+
+@st.composite
+def entry_rows(draw):
+    """Graphs of n >= 1 rows over [0, n): repeated entries, empty and all-erased rows allowed."""
+    n = draw(st.integers(1, 12))
+    entry = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(ERASED), entry)
+    return PartiallyErasedGraph(draw(st.lists(st.lists(entry, max_size=7), min_size=n, max_size=n)))
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def assert_matches_reference(g, taus=(0.5, 1.0, 2.5, 7.0)):
+    # taus below every degree, between degrees and above all of them
+    assert_same_arrays(g.flat_adjacency(), reference_flat_adjacency(g))
+    assert_same_arrays(credit_classes(g), reference_class_table(g))
+    for tau in taus:
+        assert_same_arrays(credit_outcomes(g, tau), reference_outcomes(g, tau))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_rows(), st.lists(st.floats(0.5, 9.0), max_size=4))
+def test_set_up_matches_reference(g, taus):
+    assert_matches_reference(g, taus + [1.0, 7.0])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[]], [[ERASED, ERASED], [0, 0, 2], [], [1, ERASED]], [[1, 1], [], [0, 3], [2]]],
+    ids=["single-vertex", "repeats-all-erased-isolated", "no-erasures"],
+)
+def test_set_up_matches_reference_on_edge_cases(rows):
+    assert_matches_reference(PartiallyErasedGraph(rows))
+
+
+def test_credit_class_table_past_a_mixed_radix_key():
+    # (deg*B + bot)*B + plus with B > 2^21 would pass int64 here
+    big = 2**21 + 1
+    g = PartiallyErasedGraph([[ERASED] * (big - 1) + [2], [ERASED], [0, 0, ERASED], [], [2, 1]])
+    deg, bot, plus, count = credit_classes(g)
+    assert_same_arrays((deg, bot, plus, count), reference_class_table(g))
+    assert deg[-1] == big and bot[-1] == big - 1 and plus[-1] == 0
+    tau = chi_threshold(5, 1e12, 0.25)
+    assert tau > big
+    assert_same_arrays(credit_outcomes(g, tau), reference_outcomes(g, tau))
+
+
+ESTIMATE_GRAPHS = {
+    "regularish": lambda: gen_random_regularish(1200, 3, seed=21),
+    "regularish-erased": lambda: erase(gen_random_regularish(1200, 3, seed=21), 0.3, "uniform", seed=22),
+    "g1": lambda: gen_g1(Fraction(1, 4), 1201, seed=3),
+    "g2": lambda: gen_g2(Fraction(1, 3), 1201, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_GRAPHS))
+def test_estimates_are_the_reference_draws(name, monkeypatch):
+    g = ESTIMATE_GRAPHS[name]()
+    n, eps = g.num_vertices, 0.45
+    for i in range(math.ceil(math.log2(n)) + 1):
+        tau = chi_threshold(n, n / 2**i, eps)
+        assert_same_arrays(credit_outcomes(g, tau), reference_outcomes(g, tau))
+    fields = ("value", "samples", "degree_queries", "neighbor_queries", "crude", "iteration")
+    seeds = (0, 7, 21, 1234)
+    got = [estimate_avg_degree(g, eps, seed=seed) for seed in seeds]
+    monkeypatch.setattr(avg_degree, "credit_outcomes", reference_outcomes)
+    fresh = PartiallyErasedGraph([g.entries(u) for u in range(n)])
+    expected = [estimate_avg_degree(fresh, eps, seed=seed) for seed in seeds]
+    for a, b in zip(got, expected):
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
 
 
 def reference_case(crude):
