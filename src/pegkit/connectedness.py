@@ -1,10 +1,10 @@
 """Connectedness testers over partially erased graphs.
 
 Four randomized testers share one BFS primitive, `bfs_until`: a search from
-one vertex under a vertex or entry cap. Three of them also share one search
-runner, `_search_levels`, which samples start vertices level by level and
-stops at the first erasure-free witness or when the budget is spent; they
-differ only in the level schedule they pass and the budget they set:
+one vertex under a vertex or entry cap. They also share one search runner,
+`_search_levels`, which samples start vertices level by level and stops at
+the first witness or when the budget is spent; they differ only in the level
+schedule, the caps, the witness they look for and the budget they set:
 
   tester_small_alpha   known average degree, erasure fraction below eps/2;
                        a hard query cap at six times the schedule's cost.
@@ -230,33 +230,32 @@ def _check_known_davg_params(epsilon, alpha, davg, alpha_limit_factor):
         raise ValueError(f"alpha must lie in [0, {epsilon * alpha_limit_factor})")
 
 
-def _search_levels(session, levels, vertex_case=False):
+def _search_levels(session, levels, stop, detect, halt_on_erasure=True):
     """Run the capped searches of a level schedule. -> (witness, aborted).
 
     levels yields (i, reps): at level i, reps searches each start from a
-    uniform vertex and halt on erasures, capped at 2^i + 1 vertices in the
-    vertex case and otherwise at 2^(i-1) * deg + 1 scanned entries. The run
-    stops at the first erasure-free witness, or aborts with no witness once
-    the session's budget is spent.
+    uniform vertex v, charge deg(v) and run under the cap stop(i, deg(v)).
+    The run stops at the first witness `detect` finds, or aborts with no
+    witness once the session's budget is spent. deg(v) is charged after the
+    budget check, which leaves room for it in a "both" budget.
     """
     for i, reps in levels:
         for _ in range(reps):
             if session.exhausted:
                 return None, True
             v = session.random_vertex()
-            if vertex_case:
-                out = bfs_until(session, v, VertexCap(2**i + 1), halt_on_erasure=True)
-            else:
-                d = session.degree(v)
-                out = bfs_until(
-                    session, v, EdgeCap(2 ** (i - 1) * d + 1), halt_on_erasure=True, start_degree=d
-                )
+            d = session.degree(v)
+            out = bfs_until(session, v, stop(i, d), halt_on_erasure=halt_on_erasure, start_degree=d)
             if out.budget_hit:
                 return None, True
-            witness = detect_plain_witness(out)
+            witness = detect(out)
             if witness is not None:
                 return witness, False
     return None, False
+
+
+def _level_entry_cap(i, d):
+    return EdgeCap(2 ** (i - 1) * d + 1)
 
 
 def _verdict(session, witness, cap, aborted=False):
@@ -282,7 +281,8 @@ def tester_small_alpha(g, cfg):
     _, vertex_case, schedule = small_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
     cap = small_alpha_query_cap(cfg.epsilon, cfg.alpha, cfg.davg)
     session = QuerySession(g, seed=cfg.seed, budget=cap, budget_counts="both")
-    witness, aborted = _search_levels(session, schedule, vertex_case)
+    stop = (lambda i, d: VertexCap(2**i + 1)) if vertex_case else _level_entry_cap
+    witness, aborted = _search_levels(session, schedule, stop, detect_plain_witness)
     return _verdict(session, witness, cap, aborted)
 
 
@@ -308,13 +308,10 @@ def tester_mid_alpha(g, cfg):
     _check_known_davg_params(cfg.epsilon, cfg.alpha, cfg.davg, 1.0)
     _, reps, qcap = mid_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
     session = QuerySession(g, seed=cfg.seed)
-    witness = None
-    for _ in range(reps):
-        s = session.random_vertex()
-        out = bfs_until(session, s, EdgeCap(qcap), halt_on_erasure=False)
-        witness = detect_generalized_witness(out)
-        if witness is not None:
-            break
+    witness, _ = _search_levels(
+        session, [(1, reps)], lambda i, d: EdgeCap(qcap), detect_generalized_witness,
+        halt_on_erasure=False,
+    )
     return _verdict(session, witness, None)
 
 
@@ -326,7 +323,7 @@ def tester_no_erasures(g, cfg):
     t = max(1, math.ceil(math.log2(8 / (cfg.epsilon * cfg.davg))))
     session = QuerySession(g, seed=cfg.seed)
     levels = [(i, math.ceil(2 ** (t - i) * LN6)) for i in range(1, t + 1)]
-    witness, _ = _search_levels(session, levels)
+    witness, _ = _search_levels(session, levels, _level_entry_cap, detect_plain_witness)
     return _verdict(session, witness, None)
 
 
@@ -357,5 +354,5 @@ def tester_unknown_davg(g, epsilon, seed=0, alpha=0.0):
         for t in itertools.count(1)
         for i in range(1, t + 1)
     )
-    witness, aborted = _search_levels(session, levels)
+    witness, aborted = _search_levels(session, levels, _level_entry_cap, detect_plain_witness)
     return _verdict(session, witness, budget, aborted)

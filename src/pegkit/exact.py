@@ -4,6 +4,10 @@ Everything here is brute force and exact: completions are enumerated
 outright, distances and expectations are computed as rationals, and witness
 inventories are built from full reachability rather than sampling. Intended
 for instances up to a few hundred vertices.
+
+A completion is held as the tuple of its free-slot pairs: the new edges
+beyond the forced fills. `completed_graph` is the one place that turns such
+a tuple into a graph with every erased slot filled.
 """
 
 from __future__ import annotations
@@ -11,11 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .avg_degree import THRESHOLD_COEFF, d_bot, d_plus
 from .connectedness import mid_alpha_plan, small_alpha_plan
-from .graph import Completion, closure, forced_partners, validate
+from .graph import PartiallyErasedGraph, closure, forced_partners, validate
 
 
 class Uncompletable(ValueError):
@@ -26,63 +29,25 @@ class SearchBoundExceeded(ValueError):
     """The completion search would exceed the configured slot bound."""
 
 
-@dataclass
-class CompletionSet:
-    """The completions found, each kept as the tuple of its free-slot pairs.
-
-    `pairs` holds one tuple of (a, b), a < b, per completion: the new edges
-    beyond the forced fills. `slot_table` maps each vertex with erased slots
-    to (its erased slots, its forced partners in sorted order). `Completion`
-    objects are built from the two only when `completions` is read or the
-    set is iterated.
-    """
-
-    pairs: list
-    slot_table: dict
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.completions)
-
-    @cached_property
-    def completions(self):
-        """One Completion per pair tuple; each erased slot takes its partners in sorted order."""
-        out = []
-        for extra in self.pairs:
-            partners = {u: list(forced) for u, (_, forced) in self.slot_table.items()}
-            for a, b in extra:
-                partners[a].append(b)
-                partners[b].append(a)
-            fills = {}
-            for u, (slots, _) in self.slot_table.items():
-                for slot, w in zip(slots, sorted(partners[u])):
-                    fills[(u, slot)] = w
-            out.append(Completion.from_dict(fills))
-        return out
-
-
 def enumerate_completions(g, slot_bound=20):
     """Enumerate completions up to slot-permutation equivalence.
 
     Phase 1 resolves forced fills: every half-erased edge w->u consumes one
     erased slot of u. Phase 2 enumerates the ways the remaining free slots
     can be paired into new edges between distinct, non-adjacent vertices.
-    Completions are deduplicated by resulting edge set; each erased slot is
-    filled with its partners in sorted order.
 
-    `slot_bound` limits the number of free slots phase 2 may search over;
-    beyond it SearchBoundExceeded is raised. Returns an empty set when
-    `validate` reports any violation, since each one rules out every
-    completion.
+    Returns a list with one tuple of free-slot pairs (a, b), a < b, per
+    completion; distinct tuples give distinct edge sets, and
+    `completed_graph` fills the slots. `slot_bound` limits the number of
+    free slots phase 2 may search over; beyond it SearchBoundExceeded is
+    raised. Returns [] when `validate` reports any violation, since each one
+    rules out every completion.
     """
     if validate(g):
-        return CompletionSet([], {})
+        return []
     n = g.num_vertices
     forced = forced_partners(g)
-    slots = {u: s for u in range(n) if (s := g.erased_slots(u))}
-    free = [len(slots.get(u, ())) - len(forced.get(u, ())) for u in range(n)]
+    free = [g.erased_count(u) - len(forced.get(u, ())) for u in range(n)]
     if sum(free) > slot_bound:
         raise SearchBoundExceeded(
             f"{sum(free)} free erased slots exceed the search bound {slot_bound}"
@@ -124,8 +89,31 @@ def enumerate_completions(g, slot_bound=20):
         free[u] = k
 
     backtrack(0)
-    slot_table = {u: (slots[u], sorted(forced.get(u, ()))) for u in slots}
-    return CompletionSet(solutions, slot_table)
+    return solutions
+
+
+def completed_graph(g, pairs):
+    """g with every erased slot filled, for the completion with free-slot pairs `pairs`.
+
+    Each vertex's erased slots take, in slot order, its forced partners and
+    its partners in `pairs`, sorted. Raises ValueError unless the partners
+    fill the erased slots exactly.
+    """
+    partners = {u: list(ws) for u, ws in forced_partners(g).items()}
+    for a, b in pairs:
+        partners.setdefault(a, []).append(b)
+        partners.setdefault(b, []).append(a)
+    rows = []
+    for u in range(g.num_vertices):
+        row = list(g.entries(u))
+        slots = g.erased_slots(u)
+        fills = sorted(partners.get(u, ()))
+        if len(fills) != len(slots):
+            raise ValueError(f"{len(fills)} partners for the {len(slots)} erased slots of {u}")
+        for i, w in zip(slots, fills):
+            row[i] = w
+        rows.append(row)
+    return PartiallyErasedGraph(rows)
 
 
 def components(g):
@@ -146,8 +134,8 @@ def components(g):
     return comps
 
 
-def min_completion_components(g, cs):
-    """Fewest connected components over the completions in cs, which must hold one.
+def min_completion_components(g, completions):
+    """Fewest connected components over `completions`, a non-empty list of pair tuples.
 
     A forced fill repeats a link g already lists, so a completed graph's
     components are those of g merged along the completion's free-slot pairs.
@@ -161,7 +149,7 @@ def min_completion_components(g, cs):
         for v in comp:
             label[v] = i
     most_merges = 0
-    for extra in cs.pairs:
+    for extra in completions:
         parent = {}
         merges = 0
         for a, b in extra:
@@ -189,10 +177,10 @@ def _distance(g, min_comp):
 
 def distance_to_connectedness(g, slot_bound=20):
     """Exact distance: (min completion components - 1) / m, as a fraction."""
-    cs = enumerate_completions(g, slot_bound=slot_bound)
-    if not cs.pairs:
+    completions = enumerate_completions(g, slot_bound=slot_bound)
+    if not completions:
         raise Uncompletable("graph has no completion")
-    dist = _distance(g, min_completion_components(g, cs))
+    dist = _distance(g, min_completion_components(g, completions))
     if dist is None:
         raise ValueError("distance undefined for an edgeless disconnected graph")
     return dist
@@ -318,6 +306,8 @@ def exact_exp_chi(g, d_hat, eps):
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if not d_hat > 0:
+        raise ValueError(f"d_hat must be positive, got {d_hat}")
     H = high_degree_set(g, d_hat, eps)
     total = sum(d_plus(g, u) + d_bot(g, u) for u in range(g.num_vertices) if u not in H)
     return Fraction(total, g.num_vertices)
@@ -382,17 +372,17 @@ class ExactReport:
 
 
 def exact_report(g, d_hat=None, eps=None, slot_bound=20):
-    cs = enumerate_completions(g, slot_bound=slot_bound)
+    completions = enumerate_completions(g, slot_bound=slot_bound)
     min_comp = dist = None
-    if cs.pairs:
-        min_comp = min_completion_components(g, cs)
+    if completions:
+        min_comp = min_completion_components(g, completions)
         dist = _distance(g, min_comp)
     inv = inventory_witnesses(g)
     chi = None
     if d_hat is not None and eps is not None:
         chi = exact_exp_chi(g, d_hat, eps)
     return ExactReport(
-        completions_count=len(cs),
+        completions_count=len(completions),
         min_components=min_comp,
         distance_to_connectedness=dist,
         plain_witnesses=inv.plain,

@@ -254,38 +254,6 @@ def validate(g):
     return violations
 
 
-@dataclass(frozen=True)
-class Completion:
-    """Assignment of vertex ids to erased slots.
-
-    `assignment` maps (vertex, 0-based slot index) to the id that fills the
-    slot; it is stored as a sorted tuple of pairs so completions are hashable.
-    """
-
-    assignment: tuple
-
-    @staticmethod
-    def from_dict(d):
-        return Completion(tuple(sorted(d.items())))
-
-    def as_dict(self):
-        return dict(self.assignment)
-
-    def apply(self, g):
-        """Fill the erased slots of g; the result has no erasures."""
-        fills = self.as_dict()
-        rows = []
-        for u in range(g.num_vertices):
-            row = list(g.entries(u))
-            for i, e in enumerate(row):
-                if e is ERASED:
-                    if (u, i) not in fills:
-                        raise ValueError(f"no fill for erased slot ({u}, {i})")
-                    row[i] = fills[(u, i)]
-            rows.append(row)
-        return PartiallyErasedGraph(rows)
-
-
 def erase_slots(g, slots):
     """Return a copy of g with the given (vertex, slot-index) entries erased."""
     rows = [list(g.entries(u)) for u in range(g.num_vertices)]
@@ -361,8 +329,9 @@ def parse_peg(text):
     )
     number = int if plain else _number
     try:
-        n = number(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
+        _, count = lines[1].split()
+        n = number(count)
+    except ValueError as exc:
         raise ValueError("bad vertex count line") from exc
     rows = [[] for _ in range(n)]
     seen = set()

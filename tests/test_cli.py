@@ -295,6 +295,11 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
          "--trials must be a non-negative count, got -3"),
         (["test-conn", "--algo", "unknown-davg", "--eps", "0.2", "--alpha", "-0.3"],
          "need 0 < epsilon < 1 and 0 <= alpha < epsilon/2"),
+        (["exact", "--what", "exp-chi", "--dhat", "0", "--eps", "1/4"], "d_hat must be positive, got 0"),
+        (["exact", "--what", "exp-chi", "--dhat", "-1", "--eps", "1/4"],
+         "d_hat must be positive, got -1"),
+        (["exact", "--what", "report", "--dhat", "-3", "--eps", "1/4"],
+         "d_hat must be positive, got -3"),
     ],
 )
 def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):

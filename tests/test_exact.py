@@ -17,6 +17,7 @@ from pegkit.exact import (
     SearchBoundExceeded,
     Uncompletable,
     WitnessInventory,
+    completed_graph,
     components,
     distance_to_connectedness,
     enumerate_completions,
@@ -32,7 +33,7 @@ from pegkit.exact import (
     reach_listed,
     small_alpha_rejection_probability,
 )
-from pegkit.graph import ERASED, PartiallyErasedGraph, forced_partners, validate
+from pegkit.graph import ERASED, PartiallyErasedGraph, erase_slots, forced_partners, validate
 from pegkit.instances import (
     erase,
     gen_connected,
@@ -50,17 +51,15 @@ from pegkit.instances import (
 
 def test_zero_erasures_single_identity_completion():
     g = PartiallyErasedGraph([[1], [0]])
-    cs = enumerate_completions(g)
-    assert len(cs) == 1
-    assert cs.completions[0].apply(g) == g
+    assert enumerate_completions(g) == [()]
+    assert completed_graph(g, ()) == g
 
 
 def test_forced_fill_is_unique():
     # half-erased edge 0->1 forces 1's slot to hold 0
     g = PartiallyErasedGraph([[1], [ERASED]])
-    cs = enumerate_completions(g)
-    assert len(cs) == 1
-    assert cs.completions[0].as_dict() == {(1, 0): 0}
+    assert enumerate_completions(g) == [()]
+    assert completed_graph(g, ()) == PartiallyErasedGraph([[1], [0]])
 
 
 def test_hub_family_completion_counts():
@@ -68,19 +67,19 @@ def test_hub_family_completion_counts():
     # four free slots in four different cycles: three perfect matchings
     assert len(enumerate_completions(gm)) == 3
     gp = gen_gplus("1/7", 4, seed=7)
-    cs = enumerate_completions(gp)
-    assert len(cs) == 1
-    completed = cs.completions[0].apply(gp)
+    completions = enumerate_completions(gp)
+    assert len(completions) == 1
+    completed = completed_graph(gp, completions[0])
     assert len(components(completed)) == 1  # the hub connects everything
 
 
 def test_matching_family_completion_count():
     g2 = gen_g2("1/3", 13, seed=1)
     # six degree-1 stubs pair into a perfect matching: 5!! = 15 ways
-    cs = enumerate_completions(g2)
-    assert len(cs) == 15
-    for c in cs.completions:
-        comp = components(c.apply(g2))
+    completions = enumerate_completions(g2)
+    assert len(completions) == 15
+    for pairs in completions:
+        comp = components(completed_graph(g2, pairs))
         # cycle + isolated hub + three matched pairs
         assert sorted(len(x) for x in comp) == [1, 2, 2, 2, 6]
 
@@ -99,17 +98,16 @@ def test_slot_bound_guards_matching_search():
     # forced-only erasures do not count against the bound
     forest = gen_far_forest(0.2, 0.15, 200, strategy="component-hiding", seed=1)
     assert forest.erased_total > 20
-    cs = enumerate_completions(forest, slot_bound=20)
-    assert len(cs) == 1
+    assert len(enumerate_completions(forest, slot_bound=20)) == 1
 
 
 def test_uncompletable_inputs_give_empty_list():
     # half-erased edge into a vertex with no erased slot
     g = PartiallyErasedGraph([[1, ERASED], [2], [1, ERASED]])
-    assert enumerate_completions(g).completions == []
+    assert enumerate_completions(g) == []
     # odd number of free slots
     h = PartiallyErasedGraph([[1], [0], [ERASED], []])
-    assert enumerate_completions(h).completions == []
+    assert enumerate_completions(h) == []
 
 
 def _random_erased_graph(seed):
@@ -151,13 +149,15 @@ MERGE_CASES = {
 @pytest.mark.parametrize("case", sorted(MERGE_CASES))
 def test_min_completion_components_matches_rebuilt_graphs(case):
     g = MERGE_CASES[case]()
-    cs = enumerate_completions(g, slot_bound=24)
-    assert len(cs) == len(cs.completions) >= 1
-    assert len(set(cs.completions)) == len(cs)
-    rebuilt = [c.apply(g) for c in cs]
+    completions = enumerate_completions(g, slot_bound=24)
+    assert completions
+    rebuilt = [completed_graph(g, pairs) for pairs in completions]
+    assert len(set(rebuilt)) == len(completions)
     assert all(full.erased_total == 0 for full in rebuilt)
     # the reference: rebuild every completed graph and walk it again
-    assert min_completion_components(g, cs) == min(len(components(full)) for full in rebuilt)
+    assert min_completion_components(g, completions) == min(
+        len(components(full)) for full in rebuilt
+    )
 
 
 # --- distance ----------------------------------------------------------------
@@ -241,10 +241,10 @@ def test_witnesses_are_components_of_every_completion():
     for seed in range(3):
         g = gen_far_forest(0.25, 0.2, 40, davg_target=1.8, strategy="uniform", seed=seed + 10)
         inv = inventory_witnesses(g)
-        cs = enumerate_completions(g, slot_bound=40)
-        assert cs.completions
-        for completion in cs.completions:
-            comp_sets = set(components(completion.apply(g)))
+        completions = enumerate_completions(g, slot_bound=40)
+        assert completions
+        for pairs in completions:
+            comp_sets = set(components(completed_graph(g, pairs)))
             for c in inv.plain:
                 assert c in comp_sets
             for c, anchors in inv.generalized:
@@ -352,8 +352,8 @@ def test_quality_sums_to_one_on_plain_witnesses():
     inv = inventory_witnesses(g)
     assert inv.plain
     qv = quality_vertex_variant(g)
-    completion = enumerate_completions(g, slot_bound=60).completions[0]
-    qe = quality_edge_variant(g, completion.apply(g))
+    pairs = enumerate_completions(g, slot_bound=60)[0]
+    qe = quality_edge_variant(g, completed_graph(g, pairs))
     for c in inv.plain:
         assert sum(qv[v] for v in c) == 1
         assert sum(qe[v] for v in c) == 1
@@ -367,8 +367,8 @@ def test_quality_edge_variant_degenerate_component():
 
 def test_quality_zero_on_erased_components():
     g = PartiallyErasedGraph([[1, ERASED], [0, 2], [1, ERASED], [4], [3]])
-    completion = enumerate_completions(g).completions[0]
-    qe = quality_edge_variant(g, completion.apply(g))
+    pairs = enumerate_completions(g)[0]
+    qe = quality_edge_variant(g, completed_graph(g, pairs))
     assert qe[0] == qe[1] == qe[2] == 0
     assert qe[3] == qe[4] == Fraction(1, 2)
 
@@ -508,8 +508,17 @@ def _assert_matches_references(g, slot_bound=24):
     if expected is None:
         with pytest.raises(SearchBoundExceeded):
             enumerate_completions(g, slot_bound=slot_bound)
-    else:
-        assert enumerate_completions(g, slot_bound=slot_bound).pairs == expected
+        return
+    completions = enumerate_completions(g, slot_bound=slot_bound)
+    assert completions == expected
+    # Every completed graph is a valid simple graph, and erasing g's slots
+    # again gives g back.
+    slots = [(u, i) for u in range(g.num_vertices) for i in g.erased_slots(u)]
+    for pairs in completions[:100]:
+        full = completed_graph(g, pairs)
+        assert validate(full) == []
+        assert full.erased_total == 0
+        assert erase_slots(full, slots) == g
 
 
 def _fig_graph(kind):

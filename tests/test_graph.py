@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegkit.exact import enumerate_completions
+from pegkit.exact import completed_graph, enumerate_completions
 from pegkit.graph import (
     ERASED,
-    Completion,
     PartiallyErasedGraph,
     erase_slots,
     format_peg,
@@ -78,23 +77,29 @@ def test_validate_flags_uncompletable_half_erased_edge():
     codes = {v.code for v in validate(g)}
     assert "forced-overflow" in codes
     # the completion enumerator is the ground truth: no completion exists
-    assert enumerate_completions(g).completions == []
+    assert enumerate_completions(g) == []
 
 
 def test_completion_roundtrip_reproduces_graph():
     g = PartiallyErasedGraph([[1, ERASED], [0, 2], [ERASED, 1]])
-    c = Completion.from_dict({(0, 1): 2, (2, 0): 0})
-    full = c.apply(g)
+    # the free slots (0, 1) and (2, 0) pair up as the new edge 0-2
+    full = completed_graph(g, ((0, 2),))
+    assert full == PartiallyErasedGraph([[1, 2], [0, 2], [0, 1]])
     assert full.erased_total == 0
     again = erase_slots(full, [(0, 1), (2, 0)])
     assert again == g
+    # partners that do not fill the erased slots exactly are refused
+    with pytest.raises(ValueError, match="0 partners for the 1 erased slots of 0"):
+        completed_graph(g, ())
+    with pytest.raises(ValueError, match="2 partners for the 1 erased slots of 0"):
+        completed_graph(g, ((0, 1), (0, 2)))
 
 
 def test_enumerated_completions_roundtrip():
     g = erase(gen_connected(12, 2.0, seed=3), 0.2, "uniform", seed=5)
     slots = [(u, i) for u in range(g.num_vertices) for i in g.erased_slots(u)]
-    for c in enumerate_completions(g, slot_bound=24).completions:
-        full = c.apply(g)
+    for pairs in enumerate_completions(g, slot_bound=24):
+        full = completed_graph(g, pairs)
         assert full.erased_total == 0
         assert erase_slots(full, slots) == g
 
@@ -120,6 +125,8 @@ def test_peg_parse_errors():
         parse_peg("nope\n")
     with pytest.raises(ValueError):
         parse_peg("peg 1\nn x\n")
+    with pytest.raises(ValueError, match="bad vertex count line"):
+        parse_peg("peg 1\nn 3 7\nv 0 1\nv 1 0\n")
     with pytest.raises(ValueError):
         parse_peg("peg 1\nn 2\nv 0 1\nv 0 1\n")
     with pytest.raises(ValueError):

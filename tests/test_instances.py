@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pegkit.exact import components, distance_to_connectedness, enumerate_completions
+from pegkit.exact import completed_graph, components, distance_to_connectedness, enumerate_completions
 from pegkit.graph import ERASED, validate
 from pegkit.instances import (
     FamilySpec,
@@ -176,10 +176,10 @@ def test_erase_halves_forces_the_original_completion():
     g = gen_connected(15, 2.0, seed=6)
     h = erase(g, 0.25, "halves", seed=7)
     assert h.erased_total > 0
-    cs = enumerate_completions(h, slot_bound=30)
-    assert len(cs) == 1
+    completions = enumerate_completions(h, slot_bound=30)
+    assert len(completions) == 1
     # the unique completion restores the original edge set
-    restored = cs.completions[0].apply(h)
+    restored = completed_graph(h, completions[0])
     assert {frozenset((u, w)) for u in range(15) for w in restored.listed(u)} == {
         frozenset((u, w)) for u in range(15) for w in g.listed(u)
     }
