@@ -308,8 +308,11 @@ def cmd_exact(args):
         value = exact.exact_exp_chi(g, _ratio(args.dhat), _ratio(args.eps))
         print(f"{value.numerator}/{value.denominator}")
         return 0
-    dhat = _ratio(args.dhat) if args.dhat else None
-    eps = _ratio(args.eps) if args.eps else None
+    if (args.dhat is None) != (args.eps is None):
+        raise UsageError("report needs both --dhat and --eps, or neither")
+    dhat = eps = None
+    if args.dhat is not None:
+        dhat, eps = _ratio(args.dhat), _ratio(args.eps)
     report = exact.exact_report(g, dhat, eps, slot_bound=args.slot_bound)
     print(json.dumps(report.to_dict(), indent=2))
     return 0

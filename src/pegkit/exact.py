@@ -1,9 +1,12 @@
 """Exact ground-truth oracles for desk-scale verification.
 
-Everything here is brute force and exact: completions are enumerated
-outright, distances and expectations are computed as rationals, and witness
-inventories are built from full reachability rather than sampling. Intended
-for instances up to a few hundred vertices.
+Everything here is exact: completions come from a full backtracking search,
+distances and expectations are computed as rationals, and witness
+inventories are built from full reachability rather than sampling. The
+distance reads completions lazily and stops at the first one that attains
+the proven merge bound, which some completion always does; listing every
+completion is exponential in the number of free slots. Intended for
+instances up to a few hundred vertices.
 
 A completion is held as the tuple of its free-slot pairs: the new edges
 beyond the forced fills. `completed_graph` is the one place that turns such
@@ -30,21 +33,31 @@ class SearchBoundExceeded(ValueError):
 
 
 def enumerate_completions(g, slot_bound=20):
-    """Enumerate completions up to slot-permutation equivalence.
+    """List every completion, up to slot-permutation equivalence.
 
     Phase 1 resolves forced fills: every half-erased edge w->u consumes one
-    erased slot of u. Phase 2 enumerates the ways the remaining free slots
-    can be paired into new edges between distinct, non-adjacent vertices.
+    erased slot of u. Phase 2 searches the ways the remaining free slots can
+    be paired into new edges between distinct, non-adjacent vertices.
 
     Returns a list with one tuple of free-slot pairs (a, b), a < b, per
     completion; distinct tuples give distinct edge sets, and
     `completed_graph` fills the slots. `slot_bound` limits the number of
     free slots phase 2 may search over; beyond it SearchBoundExceeded is
     raised. Returns [] when `validate` reports any violation, since each one
-    rules out every completion.
+    rules out every completion. `_completions` yields the same tuples in the
+    same order, one at a time.
+    """
+    return list(_completions(g, slot_bound))
+
+
+def _completions(g, slot_bound):
+    """Yield each completion's free-slot pairs as soon as the search finds it.
+
+    The checks (validate, forced fills, the slot bound) run on the first
+    read, before anything is yielded.
     """
     if validate(g):
-        return []
+        return
     n = g.num_vertices
     forced = forced_partners(g)
     free = [g.erased_count(u) - len(forced.get(u, ())) for u in range(n)]
@@ -60,7 +73,6 @@ def enumerate_completions(g, slot_bound=20):
         u: [w for w in open_vertices[i + 1:] if w not in g.listed(u) and u not in g.listed(w)]
         for i, u in enumerate(open_vertices)
     }
-    solutions = []
     chosen = []
 
     def backtrack(i):
@@ -70,7 +82,7 @@ def enumerate_completions(g, slot_bound=20):
         while i < len(open_vertices) and free[open_vertices[i]] == 0:
             i += 1
         if i == len(open_vertices):
-            solutions.append(tuple(chosen))
+            yield tuple(chosen)
             return
         u = open_vertices[i]
         k = free[u]
@@ -82,14 +94,13 @@ def enumerate_completions(g, slot_bound=20):
             for w in combo:
                 free[w] -= 1
                 chosen.append((u, w))
-            backtrack(i + 1)
+            yield from backtrack(i + 1)
             del chosen[-k:]
             for w in combo:
                 free[w] += 1
         free[u] = k
 
-    backtrack(0)
-    return solutions
+    yield from backtrack(0)
 
 
 def completed_graph(g, pairs):
@@ -135,21 +146,35 @@ def components(g):
 
 
 def min_completion_components(g, completions):
-    """Fewest connected components over `completions`, a non-empty list of pair tuples.
+    """Fewest connected components over `completions`, an iterable of pair tuples.
 
     A forced fill repeats a link g already lists, so a completed graph's
     components are those of g merged along the completion's free-slot pairs.
     Each pair tuple runs a union-find over g's component labels; the count
-    is g's component count minus the merges. The scan stops at the first
-    completion that leaves one component.
+    is g's component count minus the merges. Raises Uncompletable when
+    `completions` is empty.
+
+    Completions are read one at a time, and reading stops at the first one
+    that attains the merge bound: each pair merges at most once, and only
+    components holding a free slot are merged, so no completion merges more
+    than min(pairs, open components - 1). Every completion pairs the same
+    free slots, so the first one read gives both numbers. Some completion
+    always attains the bound: were the best one short, a pair that merged
+    nothing and a pair in another merged group could swap partners and join
+    the two groups. So the stop always fires; the search order decides how
+    soon.
     """
     comps = components(g)
     label = {}
     for i, comp in enumerate(comps):
         for v in comp:
             label[v] = i
+    bound = None
     most_merges = 0
     for extra in completions:
+        if bound is None:
+            open_comps = len({label[v] for pair in extra for v in pair})
+            bound = min(len(extra), max(open_comps - 1, 0))
         parent = {}
         merges = 0
         for a, b in extra:
@@ -161,10 +186,11 @@ def min_completion_components(g, completions):
             if ra != rb:
                 parent[ra] = rb
                 merges += 1
-        if merges > most_merges:
-            most_merges = merges
-            if most_merges == len(comps) - 1:
-                break
+        most_merges = max(most_merges, merges)
+        if most_merges == bound:
+            break
+    if bound is None:
+        raise Uncompletable("graph has no completion")
     return len(comps) - most_merges
 
 
@@ -176,11 +202,12 @@ def _distance(g, min_comp):
 
 
 def distance_to_connectedness(g, slot_bound=20):
-    """Exact distance: (min completion components - 1) / m, as a fraction."""
-    completions = enumerate_completions(g, slot_bound=slot_bound)
-    if not completions:
-        raise Uncompletable("graph has no completion")
-    dist = _distance(g, min_completion_components(g, completions))
+    """Exact distance: (min completion components - 1) / m, as a fraction.
+
+    Completions are searched lazily, so the search ends at the first one
+    that attains the merge bound (see `min_completion_components`).
+    """
+    dist = _distance(g, min_completion_components(g, _completions(g, slot_bound)))
     if dist is None:
         raise ValueError("distance undefined for an edgeless disconnected graph")
     return dist

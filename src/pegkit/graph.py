@@ -320,7 +320,7 @@ def parse_peg(text):
     lines = [ln for ln in lines if ln.strip()]
     if not lines or lines[0].split() != ["peg", "1"]:
         raise ValueError("missing 'peg 1' header")
-    if len(lines) < 2 or not lines[1].startswith("n "):
+    if len(lines) < 2 or lines[1].split()[0] != "n":
         raise ValueError("missing 'n <count>' line")
     plain = (
         text.isascii()

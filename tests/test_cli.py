@@ -300,6 +300,8 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
          "d_hat must be positive, got -1"),
         (["exact", "--what", "report", "--dhat", "-3", "--eps", "1/4"],
          "d_hat must be positive, got -3"),
+        (["exact", "--what", "report", "--dhat", "2"], "report needs both --dhat and --eps, or neither"),
+        (["exact", "--what", "report", "--eps", "1/4"], "report needs both --dhat and --eps, or neither"),
     ],
 )
 def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -132,8 +132,26 @@ def _three_paths():
     return PartiallyErasedGraph(rows)
 
 
+def _late_bound(m):
+    """Open vertices 0 and 1 hang off vertex 2, and 2m open vertices 4.. off
+    vertex 3. The search pairs 0 with 1 first, and none of the (2m-1)!!
+    completions under that choice joins the two trees."""
+    rows = [[2, ERASED], [2, ERASED], [0, 1], list(range(4, 4 + 2 * m))]
+    rows += [[3, ERASED] for _ in range(2 * m)]
+    return PartiallyErasedGraph(rows)
+
+
+def _one_open_tree():
+    """A star whose four leaves hold the only free slots, beside two edges:
+    no completion joins anything, so the merge bound is 0."""
+    return PartiallyErasedGraph([[4, ERASED], [4, ERASED], [4, ERASED], [4, ERASED],
+                                 [0, 1, 2, 3], [6], [5], [8], [7]])
+
+
 MERGE_CASES = {
     "three-paths": _three_paths,
+    "late-bound-4": partial(_late_bound, 4),
+    "one-open-tree": _one_open_tree,
     **{f"random-{seed}": partial(_random_erased_graph, seed) for seed in range(24)},
     **{f"gminus-{k}": partial(gen_gminus, "1/7", k, seed=k) for k in (4, 6, 8)},
     **{f"gplus-{k}": partial(gen_gplus, "1/7", k, seed=k) for k in (4, 6, 8)},
@@ -161,6 +179,59 @@ def test_min_completion_components_matches_rebuilt_graphs(case):
 
 
 # --- distance ----------------------------------------------------------------
+
+
+def _reads(g, slot_bound=24):
+    """Completions the distance reads from the search before it stops."""
+    seen = []
+    search = exact._completions
+
+    def counted(*args):
+        for pairs in search(*args):
+            seen.append(pairs)
+            yield pairs
+
+    with mock.patch.object(exact, "_completions", counted):
+        distance_to_connectedness(g, slot_bound=slot_bound)
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "make, reads, total",
+    [
+        # The first pairing joins every cycle it can.
+        (partial(gen_gminus, "1/7", 12, seed=12), 1, 10395),
+        # The bound is 0, so the first completion attains it.
+        (_one_open_tree, 1, 3),
+        # The first pairing closes each path on itself; the fifth joins all three.
+        (_three_paths, 5, 15),
+        # The whole subtree under the pair (0, 1), then one more.
+        (partial(_late_bound, 4), 106, 945),
+    ],
+)
+def test_distance_stops_at_the_merge_bound(make, reads, total):
+    g = make()
+    assert _reads(g) == reads
+    assert len(enumerate_completions(g, slot_bound=24)) == total
+
+
+def _free_slots(g):
+    return g.erased_total - sum(len(ws) for ws in forced_partners(g).values())
+
+
+def test_distance_on_the_hub_pair_at_large_k():
+    # Listing every completion of gminus took ~14 s at k = 16; the search stops
+    # at its first completion, ~25 ms for all six graphs on a 2-core host.
+    t0 = time.perf_counter()
+    for k in (16, 64, 256):
+        gm, gp = gen_gminus("1/7", k, seed=k), gen_gplus("1/7", k, seed=k)
+        assert (_free_slots(gm), _free_slots(gp)) == (k, 0)
+        assert distance_to_connectedness(gm, slot_bound=k) == Fraction(1, 7)
+        assert distance_to_connectedness(gp, slot_bound=0) == 0
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+    with pytest.raises(SearchBoundExceeded):
+        distance_to_connectedness(gm, slot_bound=255)
 
 
 def test_distance_zero_for_connected():
@@ -492,6 +563,48 @@ def _reference_pairs(g, slot_bound):
     return solutions
 
 
+def _full_scan_merges(label, completions):
+    """Most merges over every completion, read to the end with no stop;
+    `label` maps each vertex to its component's index."""
+    most = 0
+    for extra in completions:
+        parent = {}
+        merges = 0
+        for a, b in extra:
+            ra, rb = label[a], label[b]
+            while ra in parent:
+                ra = parent[ra]
+            while rb in parent:
+                rb = parent[rb]
+            if ra != rb:
+                parent[ra] = rb
+                merges += 1
+        most = max(most, merges)
+    return most
+
+
+def _assert_distance_matches_full_scan(g, completions, slot_bound):
+    if not completions:
+        with pytest.raises(Uncompletable):
+            distance_to_connectedness(g, slot_bound=slot_bound)
+        return
+    comps = components(g)
+    label = {v: i for i, comp in enumerate(comps) for v in comp}
+    most = _full_scan_merges(label, completions)
+    # Some completion always attains the bound, so the stop always fires: were
+    # the best one short, a pair that merged nothing and a pair in another
+    # merged group could swap partners and join the two groups.
+    open_comps = len({label[v] for pair in completions[0] for v in pair})
+    assert most == min(len(completions[0]), max(open_comps - 1, 0))
+    min_comp = len(comps) - most
+    if min_comp > 1 and not g.num_edges:
+        with pytest.raises(ValueError, match="edgeless disconnected"):
+            distance_to_connectedness(g, slot_bound=slot_bound)
+        return
+    expected = Fraction(min_comp - 1, g.num_edges) if min_comp > 1 else 0
+    assert distance_to_connectedness(g, slot_bound=slot_bound) == expected
+
+
 def _assert_matches_references(g, slot_bound=24):
     assert exact._reach_sets(g) == [reach_listed(g, v) for v in range(g.num_vertices)]
     assert inventory_witnesses(g) == _reference_inventory(g)
@@ -508,9 +621,12 @@ def _assert_matches_references(g, slot_bound=24):
     if expected is None:
         with pytest.raises(SearchBoundExceeded):
             enumerate_completions(g, slot_bound=slot_bound)
+        with pytest.raises(SearchBoundExceeded):
+            distance_to_connectedness(g, slot_bound=slot_bound)
         return
     completions = enumerate_completions(g, slot_bound=slot_bound)
     assert completions == expected
+    _assert_distance_matches_full_scan(g, completions, slot_bound)
     # Every completed graph is a valid simple graph, and erasing g's slots
     # again gives g back.
     slots = [(u, i) for u in range(g.num_vertices) for i in g.erased_slots(u)]

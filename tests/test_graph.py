@@ -133,6 +133,14 @@ def test_peg_parse_errors():
         parse_peg("peg 1\nn 2\nv 7 0\n")
 
 
+def test_peg_count_and_vertex_lines_split_on_any_whitespace():
+    g = PartiallyErasedGraph([[1], [0]])
+    assert parse_peg("peg 1\nn\t2\nv 0 1\nv 1 0\n") == g
+    assert parse_peg("peg 1\nn 2\nv\t0 1\nv 1\t0\n") == g
+    with pytest.raises(ValueError, match="missing 'n <count>' line"):
+        parse_peg("peg 1\nn2\nv 0 1\nv 1 0\n")
+
+
 @st.composite
 def valid_graphs(draw):
     """A random simple graph whose lists are shuffled and partly erased."""
