@@ -191,19 +191,25 @@ def _level_free_terms(g):
     """The parts of `credit_outcomes` that do not depend on tau, built once per graph.
 
     -> (class weight count/n per slot, weight*bot and weight*plus, each class's
-    rank among the distinct degrees, the distinct degrees, isolated mass,
-    total weight of listed slots). The class table is sorted by degree, so a
-    tau's credited classes are one run of it and their distinct degrees one
-    slice of the distinct degrees.
+    rank among the distinct degrees, the distinct degrees, the rank of the
+    first positive one, isolated mass, total weight of listed slots). The
+    class table is sorted by degree, so a tau's credited classes are one run
+    of it and their distinct degrees one slice of the distinct degrees.
     """
     deg, bot, plus, count = credit_classes(g)
     n = g.num_vertices
     weight = count / (n * np.maximum(deg, 1))  # an isolated class has no slots
     new_degree = np.concatenate(([True], deg[1:] != deg[:-1]))
+    degrees = deg[new_degree]
     return (
-        weight, (weight * bot, weight * plus), np.cumsum(new_degree) - 1, deg[new_degree],
-        np.sum(count[deg == 0]) / n, np.dot(weight, deg - bot - plus),
+        weight, (weight * bot, weight * plus), np.cumsum(new_degree) - 1, degrees,
+        int(degrees[0] == 0), np.sum(count[deg == 0]) / n, np.dot(weight, deg - bot - plus),
     )
+
+
+def _outcome_laws(g):
+    """The outcome laws `credit_outcomes` has built for g, keyed by credited run."""
+    return {}
 
 
 def credit_outcomes(g, tau):
@@ -215,20 +221,37 @@ def credit_outcomes(g, tau):
     degree d one erased and one ranked-above outcome, both worth d. Each
     probability sums, over the credit classes, class weight count/n times
     the share of the class's slots in that outcome.
+
+    The law depends on tau only through the credited run: the positive
+    distinct degrees up to the cutoff, which end at index `stop`. So each
+    law is built once per run and kept with the graph, read-only.
     """
+    degrees = g.cached(_level_free_terms)[3]
+    stop = int(degrees.searchsorted(tau * (1 + _THRESHOLD_RTOL), side="right"))
+    laws = g.cached(_outcome_laws)
+    law = laws.get(stop)
+    if law is None:
+        law = laws[stop] = _outcome_law(g, stop)
+    return law
+
+
+def _outcome_law(g, stop):
+    """`credit_outcomes` for the credited run that ends at distinct degree `stop`."""
     deg, bot, plus, _ = credit_classes(g)
-    weight, slot_weights, rank, degrees, isolated, listed = g.cached(_level_free_terms)
-    cutoff = tau * (1 + _THRESHOLD_RTOL)
-    credited = (deg > 0) & (deg <= cutoff)
-    first, stop = np.searchsorted(degrees, [0, cutoff], side="right").tolist()
+    weight, slot_weights, rank, degrees, first, isolated, listed = g.cached(_level_free_terms)
+    credited = (rank >= first) & (rank < stop)
     k, idx = stop - first, rank[credited] - first
     paid = [np.bincount(idx, w[credited], k) for w in slot_weights]
     rest = ~credited
     unpaid = [isolated, np.dot(weight[rest], bot[rest]), listed + np.dot(weight[rest], plus[rest])]
-    p = np.concatenate([unpaid, *paid])
-    value = np.concatenate([np.zeros(3), degrees[first:stop], degrees[first:stop]])
-    erased = np.repeat([False, True, False, True, False], [1, 1, 1, k, k])
-    return p, value, erased
+    law = (
+        np.concatenate([unpaid, *paid]),
+        np.concatenate([np.zeros(3), degrees[first:stop], degrees[first:stop]]),
+        np.repeat([False, True, False, True, False], [1, 1, 1, k, k]),
+    )
+    for a in law:
+        a.flags.writeable = False
+    return law
 
 
 def refine_level(g, cfg, t, session):
@@ -249,7 +272,7 @@ def refine_level(g, cfg, t, session):
     drawn = np.random.default_rng(cfg.seed & (2**64 - 1)).multinomial(s, p, size=t)
     # A row sums to s, so it fits an int64; totals over rows are Python ints.
     isolated = sum(drawn[:, 0].tolist())
-    degree = 2 * s * t - isolated - sum(drawn[:, erased].sum(axis=1).tolist())
+    degree = 2 * s * t - isolated - sum(drawn.dot(erased).tolist())
     neighbor = s * t - isolated
     session.charge_bulk(degree=degree, neighbor=neighbor)
     return (2.0 * (drawn * value).sum(axis=1) / s).tolist(), s, degree, neighbor

@@ -3,10 +3,11 @@
 Everything here is exact: completions come from a full backtracking search,
 distances and expectations are computed as rationals, and witness
 inventories are built from full reachability rather than sampling. The
-distance reads completions lazily and stops at the first one that attains
-the proven merge bound, which some completion always does; listing every
-completion is exponential in the number of free slots. Intended for
-instances up to a few hundred vertices.
+distance reads only the first completion the search finds: it fixes the
+proven merge bound, which some completion always attains. Listing every
+completion is exponential in the number of free slots. The listing and the
+completion search are meant for instances up to a few hundred vertices;
+the witness inventories and rejection probabilities also run at 5*10^4.
 
 A completion is held as the tuple of its free-slot pairs: the new edges
 beyond the forced fills. `completed_graph` is the one place that turns such
@@ -150,48 +151,21 @@ def min_completion_components(g, completions):
 
     A forced fill repeats a link g already lists, so a completed graph's
     components are those of g merged along the completion's free-slot pairs.
-    Each pair tuple runs a union-find over g's component labels; the count
-    is g's component count minus the merges. Raises Uncompletable when
-    `completions` is empty.
-
-    Completions are read one at a time, and reading stops at the first one
-    that attains the merge bound: each pair merges at most once, and only
-    components holding a free slot are merged, so no completion merges more
-    than min(pairs, open components - 1). Every completion pairs the same
-    free slots, so the first one read gives both numbers. Some completion
-    always attains the bound: were the best one short, a pair that merged
-    nothing and a pair in another merged group could swap partners and join
-    the two groups. So the stop always fires; the search order decides how
-    soon.
+    Each pair merges at most once, and only components holding a free slot
+    are merged, so no completion merges more than min(pairs, open components
+    - 1). Some completion always attains this bound: were the best one
+    short, a pair that merged nothing and a pair in another merged group
+    could swap partners and join the two groups. Every completion pairs the
+    same free slots, so the first completion gives both numbers, and no
+    other is read. Raises Uncompletable when `completions` is empty.
     """
-    comps = components(g)
-    label = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            label[v] = i
-    bound = None
-    most_merges = 0
-    for extra in completions:
-        if bound is None:
-            open_comps = len({label[v] for pair in extra for v in pair})
-            bound = min(len(extra), max(open_comps - 1, 0))
-        parent = {}
-        merges = 0
-        for a, b in extra:
-            ra, rb = label[a], label[b]
-            while ra in parent:
-                ra = parent[ra]
-            while rb in parent:
-                rb = parent[rb]
-            if ra != rb:
-                parent[ra] = rb
-                merges += 1
-        most_merges = max(most_merges, merges)
-        if most_merges == bound:
-            break
-    if bound is None:
+    first = next(iter(completions), None)
+    if first is None:
         raise Uncompletable("graph has no completion")
-    return len(comps) - most_merges
+    comps = components(g)
+    label = {v: i for i, comp in enumerate(comps) for v in comp}
+    open_comps = len({label[v] for pair in first for v in pair})
+    return len(comps) - min(len(first), max(open_comps - 1, 0))
 
 
 def _distance(g, min_comp):
@@ -204,8 +178,10 @@ def _distance(g, min_comp):
 def distance_to_connectedness(g, slot_bound=20):
     """Exact distance: (min completion components - 1) / m, as a fraction.
 
-    Completions are searched lazily, so the search ends at the first one
-    that attains the merge bound (see `min_completion_components`).
+    Completions are searched lazily, and the search ends at the first one:
+    it fixes the merge bound, which some completion attains (see
+    `min_completion_components`). Only proving that no completion exists
+    can still take exponential time.
     """
     dist = _distance(g, min_completion_components(g, _completions(g, slot_bound)))
     if dist is None:
@@ -237,12 +213,14 @@ def _mutual(g, C):
 
 
 def _reach_sets(g):
-    """reach_listed(g, v) for every vertex v, as a list indexed by v.
+    """reach_listed(g, v) for every vertex v where an oracle can use it, as a list indexed by v.
 
-    In a component whose listed links are all mutual, every vertex reaches
-    the whole component, so its vertices share that one frozenset. Only a
-    component holding a half-erased edge (or another one-way link) takes a
-    closure per vertex, which is quadratic in that component's size.
+    The oracles read only reach sets holding at most one erased slot: a
+    plain witness holds none and a generalized one holds one. In a component
+    whose listed links are all mutual, every vertex reaches the whole
+    component, so its vertices share that one frozenset. In any other
+    component each vertex takes its own closure, which stops at its second
+    erased slot; such a vertex's entry is None, for unusable.
     """
     reach = [None] * g.num_vertices
     for comp in components(g):
@@ -250,9 +228,24 @@ def _reach_sets(g):
             for v in comp:
                 reach[v] = comp
         else:
+            erased = {v: g.erased_count(v) for v in comp}
             for v in comp:
-                reach[v] = reach_listed(g, v)
+                reach[v] = _reach_below_two_erasures(g, v, erased)
     return reach
+
+
+def _reach_below_two_erasures(g, start, erased):
+    """reach_listed(g, start), or None once it holds two erased slots; erased[v] counts v's."""
+    seen = {start}
+    held = erased[start]
+    stack = [start]
+    while stack and held < 2:
+        for w in g.listed(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                held += erased[w]
+                stack.append(w)
+    return frozenset(seen) if held < 2 else None
 
 
 def inventory_witnesses(g):
@@ -274,7 +267,7 @@ def _inventory(g, reach):
     plain = []
     generalized = {}
     for C in dict.fromkeys(reach):
-        if len(C) >= n:
+        if C is None or len(C) >= n:
             continue
         erasures = sum(g.erased_count(u) for u in C)
         if erasures == 0:
@@ -317,12 +310,15 @@ def is_small(C, eps_star, g):
 
 
 def high_degree_set(g, d_hat, eps):
-    """Vertices with degree above THRESHOLD_COEFF * sqrt(n * d_hat / eps), exactly."""
-    d_hat = Fraction(d_hat)
-    eps = Fraction(eps)
+    """Vertices with degree above THRESHOLD_COEFF * sqrt(n * d_hat / eps), exactly.
+
+    deg^2 > num/den is tested as deg^2 * den > num in integers; a Fraction
+    keeps den positive.
+    """
     n = g.num_vertices
-    cutoff_sq = Fraction(THRESHOLD_COEFF) ** 2 * n * d_hat / eps
-    return {u for u in range(n) if Fraction(g.degree(u)) ** 2 > cutoff_sq}
+    cutoff_sq = Fraction(THRESHOLD_COEFF) ** 2 * n * Fraction(d_hat) / Fraction(eps)
+    num, den = cutoff_sq.numerator, cutoff_sq.denominator
+    return {u for u in range(n) if g.degree(u) ** 2 * den > num}
 
 
 def exact_exp_chi(g, d_hat, eps):

@@ -132,22 +132,29 @@ class PartiallyErasedGraph:
         """(degrees, offsets, entries) int64 numpy arrays with -1 marking erasures.
 
         Built on each call; the estimator's credit-class table, which is
-        derived from them, is the part kept with the graph.
+        derived from them, is the part kept with the graph. The entries go
+        straight from the rows into the int64 array. With erasures each entry
+        first passes through a one-key dict's `get`, which gives -1 for the
+        mark and the entry itself for every id: the key is found by identity,
+        and an int never compares equal to the mark.
         """
         import numpy as np
 
         degrees = np.fromiter(map(len, self._adj), dtype=np.int64, count=self._n)
         offsets = np.zeros(self._n, dtype=np.int64)
         np.cumsum(degrees[:-1], out=offsets[1:])
-        objs = np.fromiter(chain.from_iterable(self._adj), dtype=object, count=self._entries)
-        objs[objs == ERASED] = -1  # an int never compares equal to the mark
-        return degrees, offsets, objs.astype(np.int64)
+        entries = chain.from_iterable(self._adj)
+        if self._erased_total:
+            flat = list(entries)
+            entries = map({ERASED: -1}.get, flat, flat)
+        return degrees, offsets, np.fromiter(entries, dtype=np.int64, count=self._entries)
 
     def cached(self, build):
         """build(self), computed on first use and kept with the graph.
 
         For read-only tables derived from the adjacency lists, keyed by the
-        `build` function; the estimator keeps its credit-class table here.
+        `build` function; the estimator keeps its credit-class table and its
+        outcome laws here.
         """
         table = self._derived.get(build)
         if table is None:

@@ -247,11 +247,26 @@ def test_set_up_matches_reference(g, taus):
 
 @pytest.mark.parametrize(
     "rows",
-    [[[]], [[ERASED, ERASED], [0, 0, 2], [], [1, ERASED]], [[1, 1], [], [0, 3], [2]]],
-    ids=["single-vertex", "repeats-all-erased-isolated", "no-erasures"],
+    [[[]], [[], [], []], [[ERASED, ERASED], [0, 0, 2], [], [1, ERASED]], [[1, 1], [], [0, 3], [2]]],
+    ids=["single-vertex", "edgeless", "repeats-all-erased-isolated", "no-erasures"],
 )
 def test_set_up_matches_reference_on_edge_cases(rows):
+    # single-vertex, edgeless and no-erasures (with a repeated entry) take
+    # flat_adjacency's path for graphs without erasures
     assert_matches_reference(PartiallyErasedGraph(rows))
+
+
+def test_outcome_laws_follow_the_credited_run():
+    # Laws are kept per credited run. Taus in three runs, a return to the
+    # first run and a second tau inside the middle run: each law must be the
+    # reference's, so a kept law is never served for another run.
+    g = erased_graph_with_isolates(0)
+    degrees = sorted({g.degree(u) for u in range(g.num_vertices)} - {0})
+    assert len(degrees) >= 3
+    low, mid, top = degrees[0], degrees[len(degrees) // 2], degrees[-1]
+    for tau in (low + 0.5, mid + 0.5, top + 1.0, low + 0.5, mid + 0.25, top + 1.0):
+        assert_same_arrays(credit_outcomes(g, tau), reference_outcomes(g, tau))
+    assert credit_outcomes(g, mid + 0.25) is credit_outcomes(g, mid + 0.5)
 
 
 def test_credit_class_table_past_a_mixed_radix_key():

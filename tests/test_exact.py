@@ -201,18 +201,33 @@ def _reads(g, slot_bound=24):
     [
         # The first pairing joins every cycle it can.
         (partial(gen_gminus, "1/7", 12, seed=12), 1, 10395),
-        # The bound is 0, so the first completion attains it.
+        # The bound is 0, and the first completion attains it.
         (_one_open_tree, 1, 3),
         # The first pairing closes each path on itself; the fifth joins all three.
-        (_three_paths, 5, 15),
-        # The whole subtree under the pair (0, 1), then one more.
-        (partial(_late_bound, 4), 106, 945),
+        (_three_paths, 1, 15),
+        # No completion under the first pair (0, 1) joins the two trees.
+        (partial(_late_bound, 4), 1, 945),
     ],
 )
 def test_distance_stops_at_the_merge_bound(make, reads, total):
+    # The first completion fixes the merge bound, which some completion
+    # attains, so the distance reads no other, even where that first one
+    # falls short of the bound.
     g = make()
     assert _reads(g) == reads
     assert len(enumerate_completions(g, slot_bound=24)) == total
+
+
+def test_distance_when_the_first_completions_miss_the_bound_is_fast():
+    # Reading completions until one attained the bound took ~10 s on a 2-core
+    # host: none of the (2*8-1)!! completions under the first pair joins the
+    # trees.
+    g = _late_bound(8)
+    assert _free_slots(g) == 18
+    t0 = time.perf_counter()
+    assert distance_to_connectedness(g) == 0
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 def _free_slots(g):
@@ -413,6 +428,22 @@ def test_high_degree_set_exact_threshold():
     assert high_degree_set(star, Fraction(1, 11), Fraction(1, 2)) == {0}
     assert high_degree_set(star, Fraction(1, 10), Fraction(1, 2)) == set()  # 16 = 16: not above
     assert high_degree_set(star, Fraction(2), Fraction(1, 2)) == set()
+    # 80 * (2/15) / (2/3) = 16 again, reached through non-integer fractions
+    assert high_degree_set(star, Fraction(2, 15), Fraction(2, 3)) == set()
+    tiny = Fraction(1, 10**12)
+    assert high_degree_set(star, Fraction(2, 15) - tiny, Fraction(2, 3)) == {0}
+    assert high_degree_set(star, Fraction(2, 15), Fraction(2, 3) - tiny) == set()
+    # against one Fraction per vertex, on a threshold graph with degrees 1..39
+    n = 40
+    g = PartiallyErasedGraph([[v for v in range(n) if v != u and u + v >= n - 1] for u in range(n)])
+    sizes = set()
+    for d_hat in (Fraction(1, 50), Fraction(1, 7), Fraction(2, 3), 1):
+        for eps in (Fraction(1, 8), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
+            cutoff_sq = 16 * n * d_hat / eps
+            expected = {u for u in range(n) if Fraction(g.degree(u)) ** 2 > cutoff_sq}
+            assert high_degree_set(g, d_hat, eps) == expected
+            sizes.add(len(expected))
+    assert len(sizes) > 5 and 0 in sizes
 
 
 # --- quality ------------------------------------------------------------------
@@ -605,8 +636,21 @@ def _assert_distance_matches_full_scan(g, completions, slot_bound):
     assert distance_to_connectedness(g, slot_bound=slot_bound) == expected
 
 
+def _assert_reach_sets_match_closures(g):
+    """Each vertex's reach set is its full closure, except that outside a
+    mutual component a closure holding two erased slots reads None."""
+    reach = exact._reach_sets(g)
+    assert len(reach) == g.num_vertices
+    for comp in components(g):
+        mutual = all(u in g.listed(w) for u in comp for w in g.listed(u))
+        for v in comp:
+            C = reach_listed(g, v)
+            unusable = not mutual and sum(g.erased_count(u) for u in C) >= 2
+            assert reach[v] == (None if unusable else C)
+
+
 def _assert_matches_references(g, slot_bound=24):
-    assert exact._reach_sets(g) == [reach_listed(g, v) for v in range(g.num_vertices)]
+    _assert_reach_sets_match_closures(g)
     assert inventory_witnesses(g) == _reference_inventory(g)
     if g.num_entries:
         davg = g.avg_degree
@@ -710,10 +754,14 @@ def test_exact_oracles_on_a_long_path_are_fast():
 
 
 def test_exact_probabilities_on_a_large_connected_graph():
-    t0 = time.perf_counter()
+    # The conn-accept recipe: a connected graph and a copy with 2% of its
+    # entries erased. One closure per vertex of the erased copy would need
+    # ~80 GB; closures that stop at their second erased slot take ~1.2 s
+    # per probability on a 2-core host.
     g = gen_connected(50_000, 3.0, seed=1)
-    davg = g.avg_degree
-    assert small_alpha_rejection_probability(g, 0.2, 0.0, davg) == 0.0
-    assert mid_alpha_rejection_probability(g, 0.2, 0.0, davg) == 0.0
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0, f"{elapsed:.1f} s"
+    for h, alpha in ((g, 0.0), (erase(g, 0.02, "uniform", seed=2), 0.02)):
+        for probability in (small_alpha_rejection_probability, mid_alpha_rejection_probability):
+            t0 = time.perf_counter()
+            assert probability(h, 0.2, alpha, h.avg_degree) == 0.0
+            elapsed = time.perf_counter() - t0
+            assert elapsed < 5.0, f"{probability.__name__}, alpha {alpha}: {elapsed:.1f} s"
