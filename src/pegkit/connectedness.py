@@ -22,9 +22,10 @@ completion disconnected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections import deque
+import sys
 from dataclasses import dataclass
 
 from .graph import ERASED, closure
@@ -52,7 +53,7 @@ class EdgeCap:
     limit: int
 
 
-@dataclass
+@dataclass(slots=True)
 class BfsOutcome:
     """What one capped BFS saw.
 
@@ -80,6 +81,11 @@ class WitnessReport:
     anchor: "int | None" = None
 
 
+# The cap a search does not have: above any count of vertices or entries.
+# An int, since comparing or subtracting ints and a float costs more.
+_UNCAPPED = sys.maxsize
+
+
 def bfs_until(session, start, stop, halt_on_erasure=False, start_degree=None):
     """BFS from `start` over non-erased entries until a stop condition.
 
@@ -92,45 +98,59 @@ def bfs_until(session, start, stop, halt_on_erasure=False, start_degree=None):
 
     start_degree lets the caller pass a degree it already paid a query for.
     """
-    vertex_cap = stop.limit if isinstance(stop, VertexCap) else None
-    entry_cap = stop.limit if isinstance(stop, EdgeCap) else None
-    out = BfsOutcome(graph_n=session.graph.num_vertices, explored={start}, lists={})
-    if vertex_cap is not None and len(out.explored) >= vertex_cap:
-        out.truncated = True
-        return out
-    queue = deque([start])
+    kind = type(stop)
+    if kind is VertexCap:
+        vertex_cap, entry_cap = stop.limit, _UNCAPPED
+    elif kind is EdgeCap:
+        vertex_cap, entry_cap = _UNCAPPED, stop.limit
+    else:
+        raise TypeError(f"stop must be a VertexCap or an EdgeCap, not {kind.__name__}")
+    degree, neighbor = session.degree, session.neighbor
+    explored = {start}
+    lists = {}
+    queue = [start]
+    scanned = erasures = 0
+    budget_hit = False
+    truncated = vertex_cap <= 1
     try:
-        while queue and not out.truncated:
-            if entry_cap is not None and out.entries_scanned >= entry_cap:
-                out.truncated = True
+        # The list iterator also reaches the vertices appended while it runs.
+        for u in queue:
+            if truncated or scanned >= entry_cap:
+                truncated = True
                 break
-            u = queue.popleft()
-            deg = start_degree if (u == start and start_degree is not None) else session.degree(u)
+            if start_degree is None:
+                deg = degree(u)
+            else:
+                deg, start_degree = start_degree, None
+            # The entry cap ends the row after `room` entries.
+            room = entry_cap - scanned
             row = []
-            out.lists[u] = row
-            for i in range(1, deg + 1):
-                if entry_cap is not None and out.entries_scanned >= entry_cap:
-                    out.truncated = True
-                    break
-                e = session.neighbor(u, i)
-                out.entries_scanned += 1
+            lists[u] = row
+            for i in range(1, (deg if deg <= room else room) + 1):
+                e = neighbor(u, i)
                 row.append(e)
                 if e is ERASED:
-                    out.erasures_seen += 1
+                    erasures += 1
                     if halt_on_erasure:
-                        out.truncated = True
+                        truncated = True
                         break
-                elif e not in out.explored:
-                    out.explored.add(e)
+                elif e not in explored:
+                    explored.add(e)
                     queue.append(e)
-                    if vertex_cap is not None and len(out.explored) >= vertex_cap:
-                        out.truncated = True
+                    if len(explored) >= vertex_cap:
+                        truncated = True
                         break
+            scanned += len(row)
+            if deg > room:
+                truncated = True
     except BudgetExhausted:
-        out.truncated = True
-        out.budget_hit = True
-    out.closed = not out.truncated and not queue
-    return out
+        truncated = budget_hit = True
+        # Count the entries of the row the budget cut short too.
+        scanned = sum(map(len, lists.values()))
+    return BfsOutcome(
+        session.graph.num_vertices, explored, lists, scanned, erasures,
+        not truncated, truncated, budget_hit,
+    )
 
 
 def detect_plain_witness(outcome):
@@ -197,6 +217,13 @@ class TesterVerdict:
         return not self.accepted
 
 
+# Every trial reads its tester's plan and every search builds a cap, so both
+# are memoised. Plans are tuples and caps frozen, so sharing them is safe;
+# the bound keeps a long-running process from growing the memos without end.
+_memo = functools.lru_cache(maxsize=1024)
+
+
+@_memo
 def small_alpha_plan(epsilon, alpha, davg):
     """The small-alpha tester's plan. -> (b, vertex_case, schedule).
 
@@ -207,10 +234,11 @@ def small_alpha_plan(epsilon, alpha, davg):
     """
     b = 2.0 / ((epsilon - 2 * alpha) * davg)
     t = max(1, math.ceil(math.log2(4 * b)))
-    schedule = [(i, math.ceil(4 * b * LN6 / 2**i)) for i in range(1, t + 1)]
+    schedule = tuple((i, math.ceil(4 * b * LN6 / 2**i)) for i in range(1, t + 1))
     return b, b <= davg * math.log2(b), schedule
 
 
+@_memo
 def small_alpha_query_cap(epsilon, alpha, davg):
     """Hard cap: six times the closed-form expected cost of the active case."""
     _, vertex_case, schedule = small_alpha_plan(epsilon, alpha, davg)
@@ -239,13 +267,14 @@ def _search_levels(session, levels, stop, detect, halt_on_erasure=True):
     witness once the session's budget is spent. deg(v) is charged after the
     budget check, which leaves room for it in a "both" budget.
     """
+    random_vertex, degree = session.random_vertex, session.degree
     for i, reps in levels:
         for _ in range(reps):
             if session.exhausted:
                 return None, True
-            v = session.random_vertex()
-            d = session.degree(v)
-            out = bfs_until(session, v, stop(i, d), halt_on_erasure=halt_on_erasure, start_degree=d)
+            v = random_vertex()
+            d = degree(v)
+            out = bfs_until(session, v, stop(i, d), halt_on_erasure, d)
             if out.budget_hit:
                 return None, True
             witness = detect(out)
@@ -254,8 +283,14 @@ def _search_levels(session, levels, stop, detect, halt_on_erasure=True):
     return None, False
 
 
+@_memo
 def _level_entry_cap(i, d):
     return EdgeCap(2 ** (i - 1) * d + 1)
+
+
+@_memo
+def _level_vertex_cap(i, d):
+    return VertexCap(2**i + 1)
 
 
 def _verdict(session, witness, cap, aborted=False):
@@ -281,11 +316,12 @@ def tester_small_alpha(g, cfg):
     _, vertex_case, schedule = small_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
     cap = small_alpha_query_cap(cfg.epsilon, cfg.alpha, cfg.davg)
     session = QuerySession(g, seed=cfg.seed, budget=cap, budget_counts="both")
-    stop = (lambda i, d: VertexCap(2**i + 1)) if vertex_case else _level_entry_cap
+    stop = _level_vertex_cap if vertex_case else _level_entry_cap
     witness, aborted = _search_levels(session, schedule, stop, detect_plain_witness)
     return _verdict(session, witness, cap, aborted)
 
 
+@_memo
 def mid_alpha_plan(epsilon, alpha, davg):
     """The mid-alpha tester's plan. -> (b, reps, cap).
 
@@ -308,11 +344,21 @@ def tester_mid_alpha(g, cfg):
     _check_known_davg_params(cfg.epsilon, cfg.alpha, cfg.davg, 1.0)
     _, reps, qcap = mid_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
     session = QuerySession(g, seed=cfg.seed)
+    cap = EdgeCap(qcap)
     witness, _ = _search_levels(
-        session, [(1, reps)], lambda i, d: EdgeCap(qcap), detect_generalized_witness,
-        halt_on_erasure=False,
+        session, ((1, reps),), lambda i, d: cap, detect_generalized_witness, halt_on_erasure=False,
     )
     return _verdict(session, witness, None)
+
+
+@_memo
+def _no_erasure_schedule(epsilon, davg):
+    """The no-erasure tester's schedule: (level, reps) for levels 1..t.
+
+    t = ceil(log2(8 / (eps * davg))), at least 1, and reps = ceil(2^(t-i) ln 6).
+    """
+    t = max(1, math.ceil(math.log2(8 / (epsilon * davg))))
+    return tuple((i, math.ceil(2 ** (t - i) * LN6)) for i in range(1, t + 1))
 
 
 def tester_no_erasures(g, cfg):
@@ -320,9 +366,8 @@ def tester_no_erasures(g, cfg):
     if cfg.alpha != 0:
         raise ValueError("this tester requires alpha = 0")
     _check_known_davg_params(cfg.epsilon, 0.0, cfg.davg, 1.0)
-    t = max(1, math.ceil(math.log2(8 / (cfg.epsilon * cfg.davg))))
     session = QuerySession(g, seed=cfg.seed)
-    levels = [(i, math.ceil(2 ** (t - i) * LN6)) for i in range(1, t + 1)]
+    levels = _no_erasure_schedule(cfg.epsilon, cfg.davg)
     witness, _ = _search_levels(session, levels, _level_entry_cap, detect_plain_witness)
     return _verdict(session, witness, None)
 

@@ -74,34 +74,49 @@ def _completions(g, slot_bound):
         u: [w for w in open_vertices[i + 1:] if w not in g.listed(u) and u not in g.listed(w)]
         for i, u in enumerate(open_vertices)
     }
+    # Depth-first over the open vertices, with an explicit stack so that the
+    # depth is not bounded by the recursion limit. The first open vertex u
+    # with free slots takes all of them at once, by one combination of
+    # candidates; every pair chosen so far starts before u, so (u, w) is
+    # never a repeat and is already normalised. A frame holds the position
+    # of u, u, its slot count, its remaining combinations and the one taken.
     chosen = []
-
-    def backtrack(i):
-        # The first open vertex u with free slots takes all of them at once.
-        # Every pair chosen so far starts before u, so (u, w) is never a
-        # repeat and is already normalised.
-        while i < len(open_vertices) and free[open_vertices[i]] == 0:
+    stack = []
+    last = len(open_vertices)
+    i = 0
+    while True:
+        while i < last and free[open_vertices[i]] == 0:
             i += 1
-        if i == len(open_vertices):
+        if i == last:
             yield tuple(chosen)
+        else:
+            u = open_vertices[i]
+            k = free[u]
+            candidates = [w for w in later[u] if free[w] > 0]
+            if len(candidates) >= k:
+                free[u] = 0
+                stack.append([i, u, k, itertools.combinations(candidates, k), ()])
+        # Move the deepest frame on to its next combination, dropping
+        # frames that have none left.
+        while stack:
+            frame = stack[-1]
+            i, u, k, combos, taken = frame
+            if taken:
+                del chosen[-k:]
+                for w in taken:
+                    free[w] += 1
+            taken = next(combos, None)
+            if taken is not None:
+                for w in taken:
+                    free[w] -= 1
+                    chosen.append((u, w))
+                frame[4] = taken
+                i += 1
+                break
+            free[u] = k
+            stack.pop()
+        else:
             return
-        u = open_vertices[i]
-        k = free[u]
-        candidates = [w for w in later[u] if free[w] > 0]
-        if len(candidates) < k:
-            return
-        free[u] = 0
-        for combo in itertools.combinations(candidates, k):
-            for w in combo:
-                free[w] -= 1
-                chosen.append((u, w))
-            yield from backtrack(i + 1)
-            del chosen[-k:]
-            for w in combo:
-                free[w] += 1
-        free[u] = k
-
-    yield from backtrack(0)
 
 
 def completed_graph(g, pairs):

@@ -42,6 +42,7 @@ class QuerySession:
         if budget_counts not in ("both", "neighbor"):
             raise ValueError(f"bad budget_counts {budget_counts!r}")
         self.graph = graph
+        self._n = graph.num_vertices
         self.rng = random.Random(seed)
         self.budget = budget
         self.budget_counts = budget_counts
@@ -49,24 +50,28 @@ class QuerySession:
         self.degree_queries = 0
         self.neighbor_queries = 0
         self._degree_known = set()
-
-    def _budgeted(self):
-        if self.budget_counts == "both":
-            return self.degree_queries + self.neighbor_queries
-        return self.neighbor_queries
+        # The budget rule, fixed here and tested inline by each query:
+        # _degree_cap caps degree + neighbor queries (a "both" budget) and is
+        # checked by both kinds; _neighbor_cap caps neighbor queries alone.
+        both = budget is not None and budget_counts == "both"
+        self._degree_cap = budget if both else None
+        self._neighbor_cap = budget if budget is not None and not both else None
 
     @property
     def exhausted(self):
-        return self.budget is not None and self._budgeted() >= self.budget
+        cap = self._degree_cap
+        if cap is not None:
+            return self.degree_queries + self.neighbor_queries >= cap
+        cap = self._neighbor_cap
+        return cap is not None and self.neighbor_queries >= cap
 
-    def _check(self, kind):
-        if self.budget is None:
-            return
-        if self.budget_counts in ("both", kind) and self._budgeted() >= self.budget:
-            raise BudgetExhausted(f"budget of {self.budget} {self.budget_counts} queries spent")
+    def _budget_error(self):
+        return BudgetExhausted(f"budget of {self.budget} {self.budget_counts} queries spent")
 
     def degree(self, u):
-        self._check("degree")
+        cap = self._degree_cap
+        if cap is not None and self.degree_queries + self.neighbor_queries >= cap:
+            raise self._budget_error()
         d = self.graph.degree(u)
         self.degree_queries += 1
         self._degree_known.add(u)
@@ -75,7 +80,12 @@ class QuerySession:
         return d
 
     def neighbor(self, u, i):
-        self._check("neighbor")
+        cap = self._degree_cap
+        if cap is not None:
+            if self.degree_queries + self.neighbor_queries >= cap:
+                raise self._budget_error()
+        elif self._neighbor_cap is not None and self.neighbor_queries >= self._neighbor_cap:
+            raise self._budget_error()
         e = self.graph.neighbor(u, i)
         self.neighbor_queries += 1
         if self.trace is not None:
@@ -98,7 +108,7 @@ class QuerySession:
 
     def random_vertex(self):
         """Uniform vertex draw from the session RNG (not a charged query)."""
-        return self.rng.randrange(self.graph.num_vertices)
+        return self.rng.randrange(self._n)
 
     def charge_bulk(self, degree=0, neighbor=0):
         """Account for queries executed by a batch path.
@@ -107,8 +117,11 @@ class QuerySession:
         cross the cap.
         """
         if self.budget is not None:
-            add = neighbor + (degree if self.budget_counts == "both" else 0)
-            if self._budgeted() + add > self.budget:
+            if self._degree_cap is not None:
+                spent, add = self.degree_queries + self.neighbor_queries, degree + neighbor
+            else:
+                spent, add = self.neighbor_queries, neighbor
+            if spent + add > self.budget:
                 raise BudgetExhausted(f"bulk charge of {add} exceeds budget {self.budget}")
         self.degree_queries += degree
         self.neighbor_queries += neighbor

@@ -34,6 +34,16 @@ def test_gen_and_exact_distance(tmp_path, capsys):
     assert out.strip() == "1/7"
 
 
+def test_exact_distance_on_2048_open_vertices(tmp_path, capsys):
+    # More open vertices than the recursion limit allows frames.
+    peg = tmp_path / "gm2048.peg"
+    save_peg(gen_gminus("1/7", 2048, seed=2048), str(peg))
+    code, out, err = run(
+        capsys, "exact", "--graph", str(peg), "--what", "distance-conn", "--slot-bound", "2048"
+    )
+    assert (code, out, err) == (0, "1/7\n", "")
+
+
 def test_gen_infeasible_exits_2(tmp_path, capsys):
     code, _, err = run(
         capsys,

@@ -26,7 +26,7 @@ from pegkit.exact import (
 )
 from pegkit.graph import ERASED, PartiallyErasedGraph
 from pegkit.instances import erase, gen_connected, gen_far_forest, gen_gplus
-from pegkit.oracle import QuerySession
+from pegkit.oracle import BudgetExhausted, QuerySession
 
 
 def two_triangles():
@@ -392,3 +392,61 @@ def test_parameter_validation():
         tester_unknown_davg(g, 1.2, 0)
     with pytest.raises(ValueError, match=r"0 <= alpha < epsilon/2"):
         tester_unknown_davg(g, 0.2, 0, alpha=-0.3)
+
+
+# --- per-query call contract --------------------------------------------------
+
+
+@pytest.mark.parametrize("graph", ["connected", "far"])
+@pytest.mark.parametrize("algo", ["small-alpha", "mid-alpha", "no-erasure", "unknown-davg"])
+def test_each_charged_query_is_one_session_call_and_one_graph_call(monkeypatch, graph, algo):
+    # The traced benchmark counts calls of these four methods and checks them
+    # against the reported query totals, so no tester may charge in bulk or
+    # read the graph behind the session's back.
+    answered = {}
+    raised = {"degree": 0, "neighbor": 0}
+
+    def counting(owner, name):
+        method = getattr(owner, name)
+        key = (owner.__name__, name)
+        answered[key] = 0
+
+        def wrapper(*args):
+            try:
+                result = method(*args)
+            except BudgetExhausted:
+                raised[name] += 1
+                raise
+            answered[key] += 1
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner in (QuerySession, PartiallyErasedGraph):
+        for name in ("degree", "neighbor"):
+            counting(owner, name)
+    if graph == "connected":
+        g = gen_connected(3000, 3.0, seed=2)
+    else:
+        g = gen_far_forest(0.2, 0.0, 3000, seed=3)
+    davg = g.avg_degree
+    for seed in range(6):
+        answered.update(dict.fromkeys(answered, 0))
+        raised.update(degree=0, neighbor=0)
+        if algo == "unknown-davg":
+            v = tester_unknown_davg(g, 0.2, seed)
+        else:
+            tester = {
+                "small-alpha": tester_small_alpha,
+                "mid-alpha": tester_mid_alpha,
+                "no-erasure": tester_no_erasures,
+            }[algo]
+            v = tester(g, ConnTesterConfig(0.2, 0.0, davg, seed))
+        want = (v.degree_queries, v.neighbor_queries)
+        assert want[0] + want[1] > 0
+        assert (answered["QuerySession", "degree"], answered["QuerySession", "neighbor"]) == want
+        assert (
+            answered["PartiallyErasedGraph", "degree"], answered["PartiallyErasedGraph", "neighbor"]
+        ) == want
+        # A search that runs into the budget ends the trial as an abort.
+        assert raised["degree"] + raised["neighbor"] <= v.aborted

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 from functools import partial
@@ -247,6 +248,14 @@ def test_distance_on_the_hub_pair_at_large_k():
     assert elapsed < 2.0, f"{elapsed:.2f} s"
     with pytest.raises(SearchBoundExceeded):
         distance_to_connectedness(gm, slot_bound=255)
+
+
+def test_distance_past_the_recursion_limit():
+    # 2048 open vertices with one free slot each: one Python frame per open
+    # vertex would pass the recursion limit.
+    g = gen_gminus("1/7", 2048, seed=2048)
+    assert _free_slots(g) == 2048 > sys.getrecursionlimit()
+    assert distance_to_connectedness(g, slot_bound=2048) == Fraction(1, 7)
 
 
 def test_distance_zero_for_connected():

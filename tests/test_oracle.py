@@ -49,6 +49,22 @@ def test_budget_counts_neighbor_only():
         s.neighbor(1, 2)
 
 
+def test_bulk_charge_is_refused_whole_when_it_would_cross_the_budget():
+    s = QuerySession(path3(), seed=0, budget=5)
+    s.degree(0)
+    s.charge_bulk(degree=2, neighbor=2)
+    assert s.exhausted
+    with pytest.raises(BudgetExhausted, match="bulk charge of 1 exceeds budget 5"):
+        s.charge_bulk(neighbor=1)
+    assert (s.degree_queries, s.neighbor_queries) == (3, 2)
+    s = QuerySession(path3(), seed=0, budget=2, budget_counts="neighbor")
+    s.charge_bulk(degree=10, neighbor=1)
+    with pytest.raises(BudgetExhausted, match="bulk charge of 2 exceeds budget 2"):
+        s.charge_bulk(degree=1, neighbor=2)
+    s.charge_bulk(degree=1, neighbor=1)
+    assert (s.degree_queries, s.neighbor_queries, s.exhausted) == (11, 2, True)
+
+
 def test_determinism_same_seed_same_everything():
     g = erase(gen_connected(30, 2.0, seed=1), 0.2, "uniform", seed=2)
 
