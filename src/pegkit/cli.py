@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
+import shutil
 import sys
 import time
 from fractions import Fraction
@@ -350,12 +352,23 @@ def cmd_bench(args):
 
 
 def build_parser():
+    # argparse makes a help formatter per argument, and each one asks the
+    # terminal for its width unless given one. Ask once, with argparse's own
+    # rule (columns - 2), so the help text does not change.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="pegkit",
         description="Sublinear connectedness testers and degree estimators "
         "for partially erased adjacency-list graphs.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter),
+    )
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("--family", required=True)

@@ -20,9 +20,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .avg_degree import THRESHOLD_COEFF, d_bot, d_plus
+from .avg_degree import THRESHOLD_COEFF, d_plus
 from .connectedness import mid_alpha_plan, small_alpha_plan
-from .graph import PartiallyErasedGraph, closure, forced_partners, validate
+from .graph import PartiallyErasedGraph, closure, erased_counts, forced_partners, validate
 
 
 class Uncompletable(ValueError):
@@ -61,7 +61,8 @@ def _completions(g, slot_bound):
         return
     n = g.num_vertices
     forced = forced_partners(g)
-    free = [g.erased_count(u) - len(forced.get(u, ())) for u in range(n)]
+    erased = erased_counts(g)
+    free = [erased[u] - len(forced.get(u, ())) for u in range(n)]
     if sum(free) > slot_bound:
         raise SearchBoundExceeded(
             f"{sum(free)} free erased slots exceed the search bound {slot_bound}"
@@ -70,19 +71,34 @@ def _completions(g, slot_bound):
     # Each open vertex pairs only with later open vertices it does not list
     # and that do not list it; the search takes them in ascending order.
     open_vertices = [u for u in range(n) if free[u] > 0]
-    later = {
-        u: [w for w in open_vertices[i + 1:] if w not in g.listed(u) and u not in g.listed(w)]
-        for i, u in enumerate(open_vertices)
-    }
+    last = len(open_vertices)
+    listed = g.listed
+    later = {}
+
+    def scan(i, u):
+        """u's partners with free slots, found only as they are read, u being
+        open_vertices[i]; the full partner list is then kept in later[u]."""
+        listed_u = listed(u)
+        found = []
+        for w in map(open_vertices.__getitem__, range(i + 1, last)):
+            if w not in listed_u and u not in listed(w):
+                found.append(w)
+                if free[w]:
+                    yield w
+        later[u] = found
+
     # Depth-first over the open vertices, with an explicit stack so that the
     # depth is not bounded by the recursion limit. The first open vertex u
     # with free slots takes all of them at once, by one combination of
-    # candidates; every pair chosen so far starts before u, so (u, w) is
+    # partners; every pair chosen so far starts before u, so (u, w) is
     # never a repeat and is already normalised. A frame holds the position
     # of u, u, its slot count, its remaining combinations and the one taken.
+    # A frame is popped only once it has no combination left, so u's first
+    # frame scans for partners lazily and every later one filters later[u].
+    # Either way the free counts are read as the frame moves on, when they
+    # are back to what they were as it was pushed.
     chosen = []
     stack = []
-    last = len(open_vertices)
     i = 0
     while True:
         while i < last and free[open_vertices[i]] == 0:
@@ -92,10 +108,15 @@ def _completions(g, slot_bound):
         else:
             u = open_vertices[i]
             k = free[u]
-            candidates = [w for w in later[u] if free[w] > 0]
-            if len(candidates) >= k:
-                free[u] = 0
-                stack.append([i, u, k, itertools.combinations(candidates, k), ()])
+            free[u] = 0
+            found = later.get(u)
+            if found is not None:
+                combos = itertools.combinations([w for w in found if free[w]], k)
+            elif k == 1:
+                combos = zip(scan(i, u))
+            else:
+                combos = _lazy_combinations(scan(i, u), k)
+            stack.append([i, u, k, combos, ()])
         # Move the deepest frame on to its next combination, dropping
         # frames that have none left.
         while stack:
@@ -117,6 +138,33 @@ def _completions(g, slot_bound):
             stack.pop()
         else:
             return
+
+
+def _lazy_combinations(items, k):
+    """itertools.combinations(items, k), in its order, reading the iterator
+    `items` only as far as the next combination needs."""
+    pool = list(itertools.islice(items, k))
+    if len(pool) < k:
+        return
+    index = list(range(k))
+    while True:
+        yield tuple(map(pool.__getitem__, index))
+        # The last index moves on to the next item, read now if it is new.
+        # Once the items run out, the rightmost index with room moves, as
+        # in itertools.combinations.
+        if index[-1] + 1 == len(pool):
+            w = next(items, None)
+            if w is not None:
+                pool.append(w)
+        room = len(pool) - k
+        i = k - 1
+        while i >= 0 and index[i] == i + room:
+            i -= 1
+        if i < 0:
+            return
+        index[i] += 1
+        for j in range(i + 1, k):
+            index[j] = index[j - 1] + 1
 
 
 def completed_graph(g, pairs):
@@ -144,21 +192,30 @@ def completed_graph(g, pairs):
 
 
 def components(g):
-    """Connected components treating every listed entry as an undirected link."""
-    n = g.num_vertices
-    adj = [set() for _ in range(n)]
-    for u in range(n):
-        for w in g.listed(u):
-            adj[u].add(w)
-            adj[w].add(u)
+    """Connected components treating every listed entry as an undirected link.
+
+    A tuple of frozensets, ordered by least vertex; built once per graph.
+    """
+    return g.cached(_components)
+
+
+def _components(g):
+    # u's undirected links are the ones it lists and the vertices that list
+    # it without being listed back: its forced partners.
+    forced = forced_partners(g)
+    listed = g.listed
+
+    def links(u):
+        return listed(u) | forced[u] if u in forced else listed(u)
+
     seen = set()
     comps = []
-    for s in range(n):
+    for s in range(g.num_vertices):
         if s not in seen:
-            comp = closure(s, adj.__getitem__)
+            comp = closure(s, links)
             seen |= comp
             comps.append(frozenset(comp))
-    return comps
+    return tuple(comps)
 
 
 def min_completion_components(g, completions):
@@ -215,13 +272,6 @@ class WitnessInventory:
     generalized: list  # list of (frozenset, frozenset-of-anchors)
 
 
-def _erasure_holder(g, C):
-    for u in sorted(C):
-        if g.erased_count(u) > 0:
-            return u
-    return None
-
-
 def _mutual(g, C):
     """Whether every link listed from a vertex of C is listed back."""
     return all(u in g.listed(w) for u in C for w in g.listed(u))
@@ -238,12 +288,12 @@ def _reach_sets(g):
     erased slot; such a vertex's entry is None, for unusable.
     """
     reach = [None] * g.num_vertices
+    erased = erased_counts(g)
     for comp in components(g):
         if _mutual(g, comp):
             for v in comp:
                 reach[v] = comp
         else:
-            erased = {v: g.erased_count(v) for v in comp}
             for v in comp:
                 reach[v] = _reach_below_two_erasures(g, v, erased)
     return reach
@@ -279,18 +329,19 @@ def inventory_witnesses(g):
 def _inventory(g, reach):
     """inventory_witnesses(g), given g's reach sets; each distinct set is checked once."""
     n = g.num_vertices
+    erased = erased_counts(g)
     plain = []
     generalized = {}
     for C in dict.fromkeys(reach):
         if C is None or len(C) >= n:
             continue
-        erasures = sum(g.erased_count(u) for u in C)
+        erasures = sum(map(erased.__getitem__, C))
         if erasures == 0:
             if _mutual(g, C):
                 plain.append(C)
                 generalized[C] = C
         elif erasures == 1:
-            holder = _erasure_holder(g, C)
+            holder = next(u for u in sorted(C) if erased[u])
             listed_holder = g.listed(holder)
             anchors = frozenset(
                 w
@@ -347,7 +398,8 @@ def exact_exp_chi(g, d_hat, eps):
     if not d_hat > 0:
         raise ValueError(f"d_hat must be positive, got {d_hat}")
     H = high_degree_set(g, d_hat, eps)
-    total = sum(d_plus(g, u) + d_bot(g, u) for u in range(g.num_vertices) if u not in H)
+    erased = erased_counts(g)
+    total = sum(d_plus(g, u) + erased[u] for u in range(g.num_vertices) if u not in H)
     return Fraction(total, g.num_vertices)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 
 class _ErasedMark:
@@ -119,7 +120,7 @@ class PartiallyErasedGraph:
         return tuple(i for i, e in enumerate(self._adj[u]) if e is ERASED)
 
     def erased_count(self, u):
-        return sum(1 for e in self._adj[u] if e is ERASED)
+        return self._adj[u].count(ERASED)
 
     def erasure_fraction(self):
         """Erased entries as an exact fraction of all entries (0 if no entries)."""
@@ -185,18 +186,33 @@ class Violation:
     detail: str
 
 
+def erased_counts(g):
+    """Per-vertex erased-slot counts, a tuple indexed by vertex; built once per graph."""
+    return g.cached(_erased_counts)
+
+
+def _erased_counts(g):
+    return tuple(map(g.erased_count, range(g.num_vertices)))
+
+
 def forced_partners(g):
-    """{u: set of w} over the half-erased edges w->u; each w uses up an erased slot of u.
+    """{u: frozenset of w} over the half-erased edges w->u; each w uses up an erased slot of u.
 
     w lists u but u does not list w, so one of u's erased slots holds w in
-    every completion. Vertices with no such w are left out.
+    every completion. Vertices with no such w are left out. Built once per
+    graph; the mapping is read-only, since every later call shares it.
     """
+    return g.cached(_forced_partners)
+
+
+def _forced_partners(g):
     forced = {}
+    listed = g.listed
     for w in range(g.num_vertices):
-        for u in g.listed(w):
-            if w not in g.listed(u):
+        for u in listed(w):
+            if w not in listed(u):
                 forced.setdefault(u, set()).add(w)
-    return forced
+    return MappingProxyType({u: frozenset(ws) for u, ws in forced.items()})
 
 
 def validate(g):
@@ -237,18 +253,19 @@ def validate(g):
         # Every forced partner must find an erased slot, and the leftover
         # free slots must pair up across vertices.
         forced = forced_partners(g)
+        erased = erased_counts(g)
         free_total = 0
         overflow = False
         for u in range(n):
             pointing = len(forced.get(u, ()))
-            free = g.erased_count(u) - pointing
+            free = erased[u] - pointing
             if free < 0:
                 violations.append(
                     Violation(
                         "forced-overflow",
                         (u,),
                         f"{pointing} half-erased edges point at {u} "
-                        f"but only {g.erased_count(u)} erased slots",
+                        f"but only {erased[u]} erased slots",
                     )
                 )
                 overflow = True

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegkit import exact
+from pegkit import graph as graph_module
 
 from pegkit.connectedness import mid_alpha_plan
 from pegkit.exact import (
@@ -34,7 +36,15 @@ from pegkit.exact import (
     reach_listed,
     small_alpha_rejection_probability,
 )
-from pegkit.graph import ERASED, PartiallyErasedGraph, erase_slots, forced_partners, validate
+from pegkit.graph import (
+    ERASED,
+    PartiallyErasedGraph,
+    closure,
+    erase_slots,
+    erased_counts,
+    forced_partners,
+    validate,
+)
 from pegkit.instances import (
     erase,
     gen_connected,
@@ -258,6 +268,37 @@ def test_distance_past_the_recursion_limit():
     assert distance_to_connectedness(g, slot_bound=2048) == Fraction(1, 7)
 
 
+def test_distance_on_4096_open_vertices_is_fast():
+    # Listing every open vertex's partners before the first completion took
+    # 2.3-3.6 s; scanning only as far as each frame needs takes ~0.08 s on a
+    # 2-core host.
+    g = gen_gminus("1/7", 4096, seed=4096)
+    t0 = time.perf_counter()
+    assert distance_to_connectedness(g, slot_bound=4096) == Fraction(1, 7)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("n", range(8))
+def test_lazy_combinations_read_only_what_the_next_one_needs(n, k):
+    read = []
+
+    def items():
+        for x in range(n):
+            read.append(x)
+            yield x
+
+    combos = exact._lazy_combinations(items(), k)
+    last = -1
+    for want in itertools.combinations(range(n), k):
+        assert next(combos) == want
+        last = max(last, want[-1])
+        assert len(read) == last + 1
+    assert next(combos, None) is None
+    assert read == list(range(n))
+
+
 def test_distance_zero_for_connected():
     g = gen_connected(20, 2.0, seed=1)
     assert distance_to_connectedness(g) == 0
@@ -288,6 +329,41 @@ def test_distance_edgeless_disconnected():
     rep = exact_report(g)
     assert (rep.min_components, rep.distance_to_connectedness) == (2, None)
     assert distance_to_connectedness(PartiallyErasedGraph([[]])) == 0
+
+
+def test_shared_fact_tables_cannot_be_mutated():
+    # 2 lists 0, which does not list it back: 2 is 0's forced partner.
+    g = PartiallyErasedGraph([[1, ERASED], [0], [0], []])
+    counts, forced, comps = erased_counts(g), forced_partners(g), components(g)
+    assert (counts, dict(forced), comps) == ((1, 0, 0, 0), {0: {2}}, ({0, 1, 2}, {3}))
+    # Every later call on g shares these tables.
+    assert (erased_counts(g), forced_partners(g), components(g)) == (counts, forced, comps)
+    assert erased_counts(g) is counts and forced_partners(g) is forced and components(g) is comps
+    with pytest.raises(TypeError):
+        counts[0] = 0
+    with pytest.raises(TypeError):
+        forced[3] = frozenset({1})
+    with pytest.raises(AttributeError):
+        forced[0].add(1)
+    with pytest.raises(TypeError):
+        comps[0] = frozenset()
+    with pytest.raises(AttributeError):
+        comps[0].add(3)
+
+
+def test_each_fact_is_built_once_per_graph():
+    g = gen_gminus("1/7", 6, seed=6)
+    builders = [(graph_module, "_erased_counts"), (graph_module, "_forced_partners"), (exact, "_components")]
+    with contextlib.ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(owner, name, wraps=getattr(owner, name)))
+            for owner, name in builders
+        ]
+        exact_report(g, 2, Fraction(1, 4))
+        distance_to_connectedness(g)
+        inventory_witnesses(g)
+        mid_alpha_rejection_probability(g, 0.3, 0.02, g.avg_degree)
+        assert [spy.call_count for spy in spies] == [1, 1, 1]
 
 
 def test_components_agree_with_networkx():
@@ -496,11 +572,54 @@ def test_exact_report_serializes_rationals():
     assert "/" in d["exp_chi"]
 
 
-# --- references: the per-vertex inventory and the first backtracking search ----
+# --- references: per-call facts, the per-vertex inventory, the first search ---
 #
-# The exact oracles share one reach set per mutual component and build each
-# open vertex's partner list once. These are the versions they replaced, kept
-# to check that the outputs did not move.
+# The exact oracles derive the erased counts, forced partners and components
+# once per graph, share one reach set per mutual component, and find each
+# open vertex's partners once. These are the versions they replaced, kept to
+# check that the outputs did not move.
+
+
+def _reference_erased_count(g, u):
+    return sum(1 for e in g.entries(u) if e is ERASED)
+
+
+def _reference_forced_partners(g):
+    forced = {}
+    for w in range(g.num_vertices):
+        for u in g.listed(w):
+            if w not in g.listed(u):
+                forced.setdefault(u, set()).add(w)
+    return forced
+
+
+def _reference_components(g):
+    n = g.num_vertices
+    adj = [set() for _ in range(n)]
+    for u in range(n):
+        for w in g.listed(u):
+            adj[u].add(w)
+            adj[w].add(u)
+    seen = set()
+    comps = []
+    for s in range(n):
+        if s not in seen:
+            comp = closure(s, adj.__getitem__)
+            seen |= comp
+            comps.append(frozenset(comp))
+    return comps
+
+
+def _assert_facts_match_references(g):
+    """The per-graph facts equal the per-call versions, on a fresh copy of g
+    and again on g, whose tables the oracles have built already."""
+    fresh = PartiallyErasedGraph([g.entries(u) for u in range(g.num_vertices)])
+    for h in (fresh, g):
+        counts = tuple(_reference_erased_count(h, u) for u in range(h.num_vertices))
+        assert erased_counts(h) == counts
+        assert tuple(map(h.erased_count, range(h.num_vertices))) == counts
+        assert forced_partners(h) == _reference_forced_partners(h)
+        assert list(components(h)) == _reference_components(h)
 
 
 def _reference_inventory(g):
@@ -511,13 +630,13 @@ def _reference_inventory(g):
     for C in reach:
         if len(C) >= n:
             continue
-        erasures = sum(g.erased_count(u) for u in C)
+        erasures = sum(_reference_erased_count(g, u) for u in C)
         if erasures == 0:
             if all(u in g.listed(w) for u in C for w in g.listed(u)):
                 plain.add(C)
                 generalized[C] = set(C)
         elif erasures == 1:
-            holder = next(u for u in sorted(C) if g.erased_count(u) > 0)
+            holder = next(u for u in sorted(C) if _reference_erased_count(g, u) > 0)
             listed_holder = g.listed(holder)
             anchors = {
                 w
@@ -557,7 +676,7 @@ def _reference_pairs(g, slot_bound):
         return []
     n = g.num_vertices
     listed = [g.listed(u) for u in range(n)]
-    forced = forced_partners(g)
+    forced = _reference_forced_partners(g)
     free = [len(g.erased_slots(u)) - len(forced.get(u, ())) for u in range(n)]
     if sum(free) > slot_bound:
         return None
@@ -705,7 +824,9 @@ REFERENCE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_exact_oracles_match_references_on_corpus(case):
-    _assert_matches_references(REFERENCE_CASES[case]())
+    g = REFERENCE_CASES[case]()
+    _assert_matches_references(g)
+    _assert_facts_match_references(g)
 
 
 @st.composite
@@ -736,6 +857,7 @@ def arbitrary_graphs(draw):
 @given(st.one_of(erased_simple_graphs(), arbitrary_graphs()))
 def test_exact_oracles_match_references_on_generated_graphs(g):
     _assert_matches_references(g)
+    _assert_facts_match_references(g)
 
 
 def _path_plus_edge(n):
