@@ -1,19 +1,19 @@
 """Connectedness testers over partially erased graphs.
 
-Four randomized testers share one BFS primitive, `bfs_until`: a search from
-one vertex under a vertex or entry cap. They also share one search runner,
-`_search_levels`, which samples start vertices level by level and stops at
-the first witness or when the budget is spent; they differ only in the level
-schedule, the caps, the witness they look for and the budget they set:
+Each tester is a `TesterPlan`: a level schedule, the cap of each search, the
+witness it looks for and its budget. `run_plan` runs any plan: level by level
+it starts `bfs_until`, a BFS under a `VertexCap` or an `EdgeCap`, from uniform
+vertices and stops at the first witness or when the budget is spent. A cap's
+`closes` is the one rule for when a capped search closes. The plans:
 
-  tester_small_alpha   known average degree, erasure fraction below eps/2;
-                       a hard query cap at six times the schedule's cost.
-  tester_no_erasures   known average degree, no erasures; no budget.
-  tester_unknown_davg  average degree unknown; a doubling schedule under a
-                       fixed neighbor-query budget.
-  tester_mid_alpha     known average degree, erasure fraction below eps;
-                       single searches under one entry cap that look for
-                       generalized witnesses (at most one erasure).
+  small_alpha_plan   known average degree, erasure fraction below eps/2;
+                     a hard query cap at six times the schedule's cost.
+  no_erasure_plan    known average degree, no erasures; no budget.
+  unknown_davg_plan  average degree unknown; a doubling schedule under a
+                     fixed neighbor-query budget.
+  mid_alpha_plan     known average degree, erasure fraction below eps;
+                     single searches under one entry cap that look for
+                     generalized witnesses (at most one erasure).
 
 All four have 1-sided error: a graph with a connected completion is never
 rejected. A reject always carries the witness that certifies every
@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graph import ERASED, closure
 from .oracle import BudgetExhausted, QuerySession
@@ -45,12 +45,21 @@ class VertexCap:
 
     limit: int
 
+    def closes(self, vertices, entries):
+        """Whether a search closes on a reach set of this many vertices and row entries."""
+        return vertices < self.limit
+
 
 @dataclass(frozen=True)
 class EdgeCap:
     """Stop once this many adjacency entries have been scanned."""
 
     limit: int
+
+    def closes(self, vertices, entries):
+        """Whether a search closes on a reach set of this many vertices and row
+        entries, if each vertex past the start lists something (as `validate` asks)."""
+        return 0 < self.limit and entries <= self.limit
 
 
 @dataclass(slots=True)
@@ -218,35 +227,28 @@ class TesterVerdict:
 
 
 # Every trial reads its tester's plan and every search builds a cap, so both
-# are memoised. Plans are tuples and caps frozen, so sharing them is safe;
-# the bound keeps a long-running process from growing the memos without end.
+# are memoised. Both are frozen, so sharing them is safe; the bound keeps a
+# long-running process from growing the memos without end.
 _memo = functools.lru_cache(maxsize=1024)
 
 
-@_memo
-def small_alpha_plan(epsilon, alpha, davg):
-    """The small-alpha tester's plan. -> (b, vertex_case, schedule).
+@dataclass(frozen=True)
+class TesterPlan:
+    """A tester's work-investment schedule, as `run_plan` runs it.
 
-    b = 2 / ((eps - 2*alpha) * davg) bounds the average witness size. The
-    vertex-capped searches apply when b <= davg * log2(b) (ties included).
-    The schedule holds (level, reps) for levels 1..ceil(log2(4b)), with
-    reps = ceil(4b ln6 / 2^i).
+    levels: re-iterable (i, reps) pairs, reps searches at level i; stop(i, d)
+    caps a level-i search from a vertex of degree d; generalized searches scan
+    past erasures for generalized witnesses, plain ones halt at the first
+    erasure; a run that spends the budget (None for none) on `budget_counts`
+    queries aborts and accepts. A plan holds no detector function, so that a
+    wrapper set on the module later still sees every search.
     """
-    b = 2.0 / ((epsilon - 2 * alpha) * davg)
-    t = max(1, math.ceil(math.log2(4 * b)))
-    schedule = tuple((i, math.ceil(4 * b * LN6 / 2**i)) for i in range(1, t + 1))
-    return b, b <= davg * math.log2(b), schedule
 
-
-@_memo
-def small_alpha_query_cap(epsilon, alpha, davg):
-    """Hard cap: six times the closed-form expected cost of the active case."""
-    _, vertex_case, schedule = small_alpha_plan(epsilon, alpha, davg)
-    if vertex_case:
-        expected = sum(reps * 4**i for i, reps in schedule)
-    else:
-        expected = sum(reps * 2**i * davg for i, reps in schedule)
-    return math.ceil(6 * expected)
+    levels: object
+    stop: object
+    generalized: bool = False
+    budget: "int | None" = None
+    budget_counts: str = "both"
 
 
 def _check_known_davg_params(epsilon, alpha, davg, alpha_limit_factor):
@@ -258,17 +260,113 @@ def _check_known_davg_params(epsilon, alpha, davg, alpha_limit_factor):
         raise ValueError(f"alpha must lie in [0, {epsilon * alpha_limit_factor})")
 
 
-def _search_levels(session, levels, stop, detect, halt_on_erasure=True):
-    """Run the capped searches of a level schedule. -> (witness, aborted).
+@_memo
+def _level_entry_cap(i, d):
+    return EdgeCap(2 ** (i - 1) * d + 1)
 
-    levels yields (i, reps): at level i, reps searches each start from a
-    uniform vertex v, charge deg(v) and run under the cap stop(i, deg(v)).
-    The run stops at the first witness `detect` finds, or aborts with no
-    witness once the session's budget is spent. deg(v) is charged after the
-    budget check, which leaves room for it in a "both" budget.
+
+@_memo
+def _level_vertex_cap(i, d):
+    return VertexCap(2**i + 1)
+
+
+@_memo
+def small_alpha_plan(epsilon, alpha, davg):
+    """The small-alpha tester's plan, once its parameters pass their check.
+
+    b = 2 / ((eps - 2*alpha) * davg) bounds the average witness size. Levels
+    1..ceil(log2(4b)) run ceil(4b ln6 / 2^i) searches, vertex-capped at a cost
+    of 4^i each when b <= davg * log2(b) (ties included), else entry-capped at
+    2^i * davg each; the degree and neighbor queries are capped at six times
+    the schedule's cost.
+    """
+    _check_known_davg_params(epsilon, alpha, davg, 0.5)
+    b = 2.0 / ((epsilon - 2 * alpha) * davg)
+    t = max(1, math.ceil(math.log2(4 * b)))
+    levels = tuple((i, math.ceil(4 * b * LN6 / 2**i)) for i in range(1, t + 1))
+    if b <= davg * math.log2(b):
+        stop, expected = _level_vertex_cap, sum(reps * 4**i for i, reps in levels)
+    else:
+        stop, expected = _level_entry_cap, sum(reps * 2**i * davg for i, reps in levels)
+    return TesterPlan(levels, stop, budget=math.ceil(6 * expected))
+
+
+def small_alpha_query_cap(epsilon, alpha, davg):
+    """Hard cap: six times the closed-form expected cost of the active case."""
+    return small_alpha_plan(epsilon, alpha, davg).budget
+
+
+@_memo
+def mid_alpha_plan(epsilon, alpha, davg):
+    """The mid-alpha tester's plan, once its parameters pass their check.
+
+    b = 4 / ((eps - alpha) * davg); one level of ceil(b ln 3) searches for
+    generalized witnesses, each under the entry cap floor(min(b^2, b*davg)).
+    The cap is floored with a 1e-12 relative slack so caps that are integral
+    up to floating-point noise land on the integer.
+    """
+    _check_known_davg_params(epsilon, alpha, davg, 1.0)
+    b = 4.0 / ((epsilon - alpha) * davg)
+    cap = EdgeCap(max(1, math.floor(min(b * b, b * davg) * (1 + 1e-12))))
+    return TesterPlan(((1, math.ceil(b * LN3)),), lambda i, d: cap, generalized=True)
+
+
+@_memo
+def no_erasure_plan(epsilon, davg):
+    """The no-erasure tester's plan, once its parameters pass their check.
+
+    Levels 1..t, with t = ceil(log2(8 / (eps * davg))) and at least 1, run
+    reps = ceil(2^(t-i) ln 6) entry-capped searches each, under no budget.
+    """
+    _check_known_davg_params(epsilon, 0.0, davg, 1.0)
+    t = max(1, math.ceil(math.log2(8 / (epsilon * davg))))
+    levels = tuple((i, math.ceil(2 ** (t - i) * LN6)) for i in range(1, t + 1))
+    return TesterPlan(levels, _level_entry_cap)
+
+
+def unknown_davg_budget(epsilon):
+    """Neighbor-query budget ceil((350/eps) * log2(16/eps))."""
+    return math.ceil(
+        (UNKNOWN_DAVG_BUDGET_FACTOR / epsilon) * math.log2(UNKNOWN_DAVG_LOG_ARG / epsilon)
+    )
+
+
+class _DoublingLevels:
+    """No-erasure schedules of t = 1, 2, ... levels, endless; each iteration starts over."""
+
+    def __iter__(self):
+        for t in itertools.count(1):
+            for i in range(1, t + 1):
+                yield i, math.ceil(2 ** max(t - i - 1, 0) * LN6)
+
+
+@_memo
+def unknown_davg_plan(epsilon, alpha):
+    """The unknown-davg tester's plan, once its parameters pass their check.
+
+    The doubling schedule runs under a fixed neighbor-query budget. With
+    alpha > 0 the budget uses eps - 2*alpha; the budget constants are kept
+    unchanged from the known-degree-free analysis for the erasure-free case.
+    """
+    if not (0 < epsilon < 1 and 0 <= alpha < epsilon / 2):
+        raise ValueError("need 0 < epsilon < 1 and 0 <= alpha < epsilon/2")
+    budget = unknown_davg_budget(epsilon - 2 * alpha)
+    return TesterPlan(_DoublingLevels(), _level_entry_cap, budget=budget, budget_counts="neighbor")
+
+
+def _search_levels(session, plan):
+    """Run the capped searches of a plan's schedule. -> (witness, aborted).
+
+    Each level-i search starts from a uniform vertex v, charges deg(v) after
+    the budget check (which leaves room for it in a "both" budget) and runs
+    under the cap plan.stop(i, deg(v)). The run stops at the first witness,
+    or aborts with none once the budget is spent. `bfs_until` and the
+    detector are module globals read on each call, for module wrappers.
     """
     random_vertex, degree = session.random_vertex, session.degree
-    for i, reps in levels:
+    stop, halt_on_erasure = plan.stop, not plan.generalized
+    detect = detect_generalized_witness if plan.generalized else detect_plain_witness
+    for i, reps in plan.levels:
         for _ in range(reps):
             if session.exhausted:
                 return None, True
@@ -283,121 +381,39 @@ def _search_levels(session, levels, stop, detect, halt_on_erasure=True):
     return None, False
 
 
-@_memo
-def _level_entry_cap(i, d):
-    return EdgeCap(2 ** (i - 1) * d + 1)
-
-
-@_memo
-def _level_vertex_cap(i, d):
-    return VertexCap(2**i + 1)
-
-
-def _verdict(session, witness, cap, aborted=False):
-    return TesterVerdict(
-        accepted=witness is None,
-        witness=witness,
-        degree_queries=session.degree_queries,
-        neighbor_queries=session.neighbor_queries,
-        cap=cap,
-        aborted=aborted,
-    )
+def run_plan(g, plan, seed):
+    """One trial: run `plan` on g in a fresh session seeded with `seed`."""
+    session = QuerySession(g, seed=seed, budget=plan.budget, budget_counts=plan.budget_counts)
+    witness, aborted = _search_levels(session, plan)
+    queries = session.degree_queries, session.neighbor_queries
+    return TesterVerdict(witness is None, witness, *queries, plan.budget, aborted)
 
 
 def tester_small_alpha(g, cfg):
-    """Connectedness tester for erasure fractions below eps/2.
-
-    Samples vertices under a schedule of geometrically shrinking repetition
-    counts and growing BFS caps, rejecting on any erasure-free component it
-    can fully explore. Aborts and accepts if total charged queries reach six
-    times the schedule's expected cost.
-    """
-    _check_known_davg_params(cfg.epsilon, cfg.alpha, cfg.davg, 0.5)
-    _, vertex_case, schedule = small_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
-    cap = small_alpha_query_cap(cfg.epsilon, cfg.alpha, cfg.davg)
-    session = QuerySession(g, seed=cfg.seed, budget=cap, budget_counts="both")
-    stop = _level_vertex_cap if vertex_case else _level_entry_cap
-    witness, aborted = _search_levels(session, schedule, stop, detect_plain_witness)
-    return _verdict(session, witness, cap, aborted)
-
-
-@_memo
-def mid_alpha_plan(epsilon, alpha, davg):
-    """The mid-alpha tester's plan. -> (b, reps, cap).
-
-    b = 4 / ((eps - alpha) * davg); reps = ceil(b ln 3) searches, each under
-    the neighbor-query cap floor(min(b^2, b*davg)). The cap is floored with a
-    1e-12 relative slack so caps that are integral up to floating-point noise
-    land on the integer.
-    """
-    b = 4.0 / ((epsilon - alpha) * davg)
-    return b, math.ceil(b * LN3), max(1, math.floor(min(b * b, b * davg) * (1 + 1e-12)))
+    """Connectedness tester for erasure fractions below eps/2: rejects on an
+    erasure-free component it fully explores, aborts and accepts at its cap."""
+    return run_plan(g, small_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg), cfg.seed)
 
 
 def tester_mid_alpha(g, cfg):
-    """Connectedness tester for erasure fractions below eps.
-
-    Each of ceil(b ln 3) rounds runs one capped BFS from a uniform vertex,
-    tolerating erasures while scanning, and rejects when the explored set is
-    a generalized witness (at most one erasure).
-    """
-    _check_known_davg_params(cfg.epsilon, cfg.alpha, cfg.davg, 1.0)
-    _, reps, qcap = mid_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg)
-    session = QuerySession(g, seed=cfg.seed)
-    cap = EdgeCap(qcap)
-    witness, _ = _search_levels(
-        session, ((1, reps),), lambda i, d: cap, detect_generalized_witness, halt_on_erasure=False,
-    )
-    return _verdict(session, witness, None)
-
-
-@_memo
-def _no_erasure_schedule(epsilon, davg):
-    """The no-erasure tester's schedule: (level, reps) for levels 1..t.
-
-    t = ceil(log2(8 / (eps * davg))), at least 1, and reps = ceil(2^(t-i) ln 6).
-    """
-    t = max(1, math.ceil(math.log2(8 / (epsilon * davg))))
-    return tuple((i, math.ceil(2 ** (t - i) * LN6)) for i in range(1, t + 1))
+    """Connectedness tester for erasure fractions below eps: rejects on a
+    generalized witness (at most one erasure) that a search fully explores."""
+    return run_plan(g, mid_alpha_plan(cfg.epsilon, cfg.alpha, cfg.davg), cfg.seed)
 
 
 def tester_no_erasures(g, cfg):
     """Connectedness tester for graphs promised to have no erasures."""
     if cfg.alpha != 0:
         raise ValueError("this tester requires alpha = 0")
-    _check_known_davg_params(cfg.epsilon, 0.0, cfg.davg, 1.0)
-    session = QuerySession(g, seed=cfg.seed)
-    levels = _no_erasure_schedule(cfg.epsilon, cfg.davg)
-    witness, _ = _search_levels(session, levels, _level_entry_cap, detect_plain_witness)
-    return _verdict(session, witness, None)
-
-
-def unknown_davg_budget(epsilon):
-    """Neighbor-query budget ceil((350/eps) * log2(16/eps))."""
-    return math.ceil(
-        (UNKNOWN_DAVG_BUDGET_FACTOR / epsilon) * math.log2(UNKNOWN_DAVG_LOG_ARG / epsilon)
-    )
+    return run_plan(g, no_erasure_plan(cfg.epsilon, cfg.davg), cfg.seed)
 
 
 def tester_unknown_davg(g, epsilon, seed=0, alpha=0.0):
-    """Connectedness tester that does not need the average degree.
-
-    Runs the no-erasures inner step under a doubling outer schedule until it
-    either rejects or spends its fixed neighbor-query budget (abort means
-    accept, keeping the error 1-sided). With alpha > 0 the schedule and
-    budget use eps - 2*alpha; the budget constants are kept unchanged from
-    the known-degree-free analysis for the erasure-free case.
-    """
-    if not (0 < epsilon < 1 and 0 <= alpha < epsilon / 2):
-        raise ValueError("need 0 < epsilon < 1 and 0 <= alpha < epsilon/2")
-    budget = unknown_davg_budget(epsilon - 2 * alpha)
-    session = QuerySession(g, seed=seed, budget=budget, budget_counts="neighbor")
+    """Connectedness tester that does not need the average degree: the
+    no-erasure search under a doubling schedule until it rejects or spends its
+    budget (abort means accept, keeping the error 1-sided)."""
+    plan = unknown_davg_plan(epsilon, alpha)
     if g.num_vertices == 1:
-        return _verdict(session, None, budget)
-    levels = (
-        (i, math.ceil(2 ** max(t - i - 1, 0) * LN6))
-        for t in itertools.count(1)
-        for i in range(1, t + 1)
-    )
-    witness, aborted = _search_levels(session, levels, _level_entry_cap, detect_plain_witness)
-    return _verdict(session, witness, budget, aborted)
+        # No proper subset to find, and no neighbor query to end the schedule.
+        plan = replace(plan, levels=())
+    return run_plan(g, plan, seed)

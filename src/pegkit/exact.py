@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .avg_degree import THRESHOLD_COEFF, d_plus
-from .connectedness import mid_alpha_plan, small_alpha_plan
 from .graph import PartiallyErasedGraph, closure, erased_counts, forced_partners, validate
 
 
@@ -481,38 +480,23 @@ def exact_report(g, d_hat=None, eps=None, slot_bound=20):
     )
 
 
-# ---------------------------------------------------------------------------
-# Exact per-run rejection probabilities of the samplers, from the inventory
-# and the testers' own plans. Used to calibrate statistical tests. Both
-# assume the hard query cap never binds on the instance (true for the small
-# bounded-degree instances these are used on).
-# ---------------------------------------------------------------------------
+def rejection_probability(g, plan):
+    """Exact probability that one run of a tester's `plan` rejects g.
 
-
-def small_alpha_rejection_probability(g, epsilon, alpha, davg):
-    n = g.num_vertices
-    _, vertex_case, schedule = small_alpha_plan(epsilon, alpha, davg)
-    inv = inventory_witnesses(g)
-    accept = 1.0
-    for i, reps in schedule:
-        detected = 0
-        for C in inv.plain:
-            rep_len = sum(g.degree(v) for v in C)
-            if vertex_case:
-                if len(C) <= 2**i:
-                    detected += len(C)
-            else:
-                detected += sum(1 for v in C if rep_len <= 2 ** (i - 1) * g.degree(v) + 1)
-        accept *= (1 - detected / n) ** reps
-    return 1.0 - accept
-
-
-def mid_alpha_rejection_probability(g, epsilon, alpha, davg):
-    n = g.num_vertices
-    _, reps, qcap = mid_alpha_plan(epsilon, alpha, davg)
+    A search from v finds a witness just when v's reach set C is a witness of
+    the plan's kind and plan.stop(i, deg v).closes(|C|, entries of C's rows).
+    For calibrating statistical tests; assumes the budget never binds. The
+    schedule must be a tuple: unknown-davg's never ends.
+    """
+    if not isinstance(plan.levels, tuple):
+        raise ValueError("the exact rejection probability needs a finite schedule")
     reach = _reach_sets(g)
-    detecting = {
-        C for C, _ in _inventory(g, reach).generalized if sum(g.degree(v) for v in C) <= qcap
-    }
-    p = sum(1 for C in reach if C in detecting) / n
-    return 1.0 - (1.0 - p) ** reps
+    inv = _inventory(g, reach)
+    witnesses = [C for C, _ in inv.generalized] if plan.generalized else inv.plain
+    entries = {C: sum(map(g.degree, C)) for C in witnesses}
+    starts = [(g.degree(v), C) for v, C in enumerate(reach) if C in entries]
+    accept = 1.0
+    for i, reps in plan.levels:
+        detected = sum(1 for d, C in starts if plan.stop(i, d).closes(len(C), entries[C]))
+        accept *= (1 - detected / g.num_vertices) ** reps
+    return 1.0 - accept

@@ -19,6 +19,7 @@ from pegkit.avg_degree import (
 )
 from pegkit.connectedness import (
     ConnTesterConfig,
+    small_alpha_plan,
     small_alpha_query_cap,
     tester_mid_alpha,
     tester_no_erasures,
@@ -32,7 +33,7 @@ from pegkit.exact import (
     exact_exp_chi,
     inventory_witnesses,
     is_small,
-    small_alpha_rejection_probability,
+    rejection_probability,
 )
 from pegkit.graph import validate
 from pegkit.instances import (
@@ -163,7 +164,7 @@ def test_criterion_2_small_alpha_power():
             freqs.append(rejected / 500)
     # cross-check one instance against the exact schedule probability
     g = gen_far_forest(0.2, 0.05, 2000, davg_target=2.0, strategy="uniform", seed=0)
-    exact_p = small_alpha_rejection_probability(g, 0.2, 0.05, g.avg_degree)
+    exact_p = rejection_probability(g, small_alpha_plan(0.2, 0.05, g.avg_degree))
     elapsed = time.time() - t0
     ok = min(freqs) >= 0.6 and exact_p >= 0.6 and elapsed < 120
     report(

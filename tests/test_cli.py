@@ -381,6 +381,11 @@ GOLDEN_GRAPHS = [
      "--strategy", "component-hiding", "--seed", "5", "--out", "fh.peg"],
 ]
 _CONN = ["--graph", "f.peg", "--eps", "0.2", "--trials", "20", "--seed", "11"]
+# On the connected c.peg no trial finds a witness: small-alpha (entry-capped
+# at alpha 0.05), mid-alpha and no-erasure run their whole schedules and
+# accept, unknown-davg spends its budget and aborts, and small-alpha told
+# davg is 0.1 aborts at its query cap.
+_CONN_ACCEPT = ["--graph", "c.peg", "--eps", "0.2", "--trials", "20", "--seed", "11", "--out", "r.out"]
 GOLDEN = {
     "gen-connected": ["gen", "--family", "connected", "--n", "300", "--davg", "2.5", "--seed", "3",
                       "--out", "x.peg", "--manifest", "x.json"],
@@ -395,6 +400,13 @@ GOLDEN = {
         for algo in ("small-alpha", "mid-alpha", "no-erasure", "unknown-davg")
         for fmt in ("json", "csv")
     },
+    **{
+        f"test-conn-accept-{algo}": ["test-conn", "--algo", algo, *_CONN_ACCEPT,
+                                     "--alpha", "0" if algo == "no-erasure" else "0.05"]
+        for algo in ("small-alpha", "mid-alpha", "no-erasure", "unknown-davg")
+    },
+    "test-conn-accept-small-alpha-cap-abort": ["test-conn", "--algo", "small-alpha", *_CONN_ACCEPT,
+                                               "--davg", "0.1"],
     "test-conn-small-alpha-vertex-case": ["test-conn", "--graph", "c.peg", "--algo", "small-alpha",
                                           "--eps", "0.2", "--trials", "20", "--seed", "4"],
     "bench-eps": ["bench", "--graph", "f.peg", "--algo", "small-alpha", "--sweep", "eps=0.2,1/4",
@@ -416,6 +428,11 @@ GOLDEN_SHA256 = {
     "gen-connected": "ac7d1131ec000da62d444f5732ec77bbfd37845b0f6b8db0a4397685ebb09379",
     "gen-far-forest": "d1496f23969840e0a7ae6db981f62f1a6a290c31a46aa39ad7b2a0caf885cae7",
     "gen-gminus": "354833ea2bbbc8f0a8358693f14d27a71d86abeccab65bc1021a074fc731a3a4",
+    "test-conn-accept-mid-alpha": "7e8a42e97b184860e4fe7be40b5ccfdb9b1f74de30f3b72ea1db3938326fd2d0",
+    "test-conn-accept-no-erasure": "98fc0fa78d5caf107571b73712999a06ec90f5cb9c958ef96c2cbb306c294a64",
+    "test-conn-accept-small-alpha": "4ddf4cad8d18d8cbeb2002cfd35e0e96213983bbc892793cc25010ada44be1e8",
+    "test-conn-accept-small-alpha-cap-abort": "ff270d38cb77edab3bed5bdfab545e526f26aae89d71503be4456cc6ee578522",
+    "test-conn-accept-unknown-davg": "2c45b3dd455c7dcf5b1d7fc5e225d2711c0f47b827e1d7e5067d6ddbb8a0a693",
     "test-conn-mid-alpha-csv": "c6f356337f0182fa8f4b4733084f749111203fb5f8fceb33a742f5d9454cb8f2",
     "test-conn-mid-alpha-json": "d03b1825e26505857af6138b4d8d6275f18ce844035ddea009f1fcb971cc87f2",
     "test-conn-no-erasure-csv": "60553f1d16966a16002ee122eceaa52a59db0ad53ec37254d46b7fe727b9d524",

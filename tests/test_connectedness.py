@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pegkit import connectedness
 from pegkit.connectedness import (
     ConnTesterConfig,
     EdgeCap,
@@ -12,6 +13,8 @@ from pegkit.connectedness import (
     detect_generalized_witness,
     detect_plain_witness,
     mid_alpha_plan,
+    no_erasure_plan,
+    small_alpha_plan,
     small_alpha_query_cap,
     tester_mid_alpha,
     tester_no_erasures,
@@ -19,11 +22,7 @@ from pegkit.connectedness import (
     tester_unknown_davg,
     unknown_davg_budget,
 )
-from pegkit.exact import (
-    inventory_witnesses,
-    mid_alpha_rejection_probability,
-    small_alpha_rejection_probability,
-)
+from pegkit.exact import inventory_witnesses, rejection_probability
 from pegkit.graph import ERASED, PartiallyErasedGraph
 from pegkit.instances import erase, gen_connected, gen_far_forest, gen_gplus
 from pegkit.oracle import BudgetExhausted, QuerySession
@@ -197,8 +196,8 @@ def test_one_sided_error_on_erased_connected_graphs(n, davg, alpha, seed):
         d, a = g.avg_degree, float(g.erasure_fraction())
         eps = min(0.45, 1.8 / d)
         assert a < eps / 2
-        assert small_alpha_rejection_probability(g, eps, a, d) == 0.0
-        assert mid_alpha_rejection_probability(g, eps, a, d) == 0.0
+        assert rejection_probability(g, small_alpha_plan(eps, a, d)) == 0.0
+        assert rejection_probability(g, mid_alpha_plan(eps, a, d)) == 0.0
         for t in range(3):
             assert tester_small_alpha(g, ConnTesterConfig(eps, a, d, t)).accepted
             assert tester_mid_alpha(g, ConnTesterConfig(eps, a, d, t)).accepted
@@ -212,7 +211,7 @@ def test_one_sided_error_on_erased_connected_graphs(n, davg, alpha, seed):
 def test_small_alpha_power_matches_exact_probability():
     g = gen_far_forest(0.2, 0.0, 600, davg_target=1.7, strategy="uniform", seed=3)
     davg = g.avg_degree
-    exact_p = small_alpha_rejection_probability(g, 0.2, 0.0, davg)
+    exact_p = rejection_probability(g, small_alpha_plan(0.2, 0.0, davg))
     trials = 400
     rejected = sum(
         tester_small_alpha(g, ConnTesterConfig(0.2, 0.0, davg, seed)).rejected
@@ -234,7 +233,7 @@ def test_small_alpha_vertex_capped_branch_power():
     davg = g.avg_degree
     b = 2 / (0.3 * davg)
     assert b <= davg * math.log2(b)  # vertex-capped case is actually taken
-    exact_p = small_alpha_rejection_probability(g, 0.3, 0.0, davg)
+    exact_p = rejection_probability(g, small_alpha_plan(0.3, 0.0, davg))
     trials = 300
     rejected = sum(
         tester_small_alpha(g, ConnTesterConfig(0.3, 0.0, davg, seed)).rejected
@@ -248,7 +247,7 @@ def test_small_alpha_vertex_capped_branch_power():
 def test_mid_alpha_power_matches_exact_probability():
     g = gen_far_forest(0.2, 0.15, 600, davg_target=2.0, strategy="component-hiding", seed=4)
     davg = g.avg_degree
-    exact_p = mid_alpha_rejection_probability(g, 0.2, 0.15, davg)
+    exact_p = rejection_probability(g, mid_alpha_plan(0.2, 0.15, davg))
     trials = 300
     rejected = sum(
         tester_mid_alpha(g, ConnTesterConfig(0.2, 0.15, davg, seed)).rejected
@@ -276,6 +275,23 @@ def test_no_erasure_tester_power_on_far_forest():
         for seed in range(300)
     )
     assert rejected / 300 >= 2 / 3
+
+
+def test_no_erasure_power_matches_exact_probability():
+    # At eps = 0.25 the rejection probability of this forest rounds to 1.0;
+    # the shorter schedule of eps = 0.8 leaves it near 0.44.
+    g = gen_far_forest(0.05, 0.0, 500, davg_target=1.96, seed=9)
+    davg = g.avg_degree
+    exact_p = rejection_probability(g, no_erasure_plan(0.8, davg))
+    assert 0.1 < exact_p < 0.9
+    trials = 300
+    rejected = sum(
+        tester_no_erasures(g, ConnTesterConfig(0.8, 0.0, davg, seed)).rejected
+        for seed in range(trials)
+    )
+    assert abs(rejected - trials * exact_p) <= 4 * math.sqrt(trials * exact_p * (1 - exact_p))
+    connected = gen_connected(300, 2.5, seed=1)
+    assert rejection_probability(connected, no_erasure_plan(0.25, connected.avg_degree)) == 0.0
 
 
 def test_unknown_davg_cumulative_schedule_covers_fixed_schedule():
@@ -368,14 +384,22 @@ def test_unknown_davg_never_exceeds_budget_and_aborts_accept():
 
 
 def test_unknown_davg_single_vertex_graph_accepts():
+    # A lone vertex has no proper subset to find, and its degree-0 searches
+    # would charge no neighbor query to end the doubling schedule: no search runs.
     g = PartiallyErasedGraph([[]])
-    assert tester_unknown_davg(g, 0.5, seed=0).accepted
+    v = tester_unknown_davg(g, 0.5, seed=0)
+    assert v.accepted and not v.aborted
+    assert (v.degree_queries, v.neighbor_queries) == (0, 0)
+    assert v.cap == unknown_davg_budget(0.5)
 
 
 def test_mid_alpha_bfs_cap_formula():
-    # b = 4 / ((eps - alpha) * davg); cap = floor(min(b^2, b*davg))
-    assert mid_alpha_plan(0.2, 0.15, 2.0)[2] == 80
-    assert mid_alpha_plan(0.5, 0.0, 1.0)[2] == 8
+    # b = 4 / ((eps - alpha) * davg); cap = floor(min(b^2, b*davg)) at every
+    # start degree, over one level of ceil(b ln 3) searches
+    plan = mid_alpha_plan(0.2, 0.15, 2.0)
+    assert {plan.stop(1, d) for d in range(5)} == {EdgeCap(80)}
+    assert plan.levels == ((1, math.ceil(40 * math.log(3))),)
+    assert mid_alpha_plan(0.5, 0.0, 1.0).stop(1, 3) == EdgeCap(8)
 
 
 def test_parameter_validation():
@@ -395,6 +419,52 @@ def test_parameter_validation():
 
 
 # --- per-query call contract --------------------------------------------------
+
+
+@pytest.mark.parametrize("graph", ["connected", "far"])
+def test_detectors_patched_on_the_module_see_every_search(monkeypatch, graph):
+    # The traced benchmark wraps `bfs_until` and `detect_*_witness` on the
+    # module once the plans are memoised, so a plan must not hold either.
+    if graph == "connected":
+        g = gen_connected(400, 3.0, seed=2)
+    else:
+        g = gen_far_forest(0.2, 0.0, 400, seed=3)
+    davg = g.avg_degree
+    runs = {
+        "small-alpha": lambda s: tester_small_alpha(g, ConnTesterConfig(0.2, 0.0, davg, s)),
+        "mid-alpha": lambda s: tester_mid_alpha(g, ConnTesterConfig(0.2, 0.0, davg, s)),
+        "no-erasure": lambda s: tester_no_erasures(g, ConnTesterConfig(0.2, 0.0, davg, s)),
+        "unknown-davg": lambda s: tester_unknown_davg(g, 0.2, s),
+    }
+    for run in runs.values():
+        run(0)  # memoises every plan before the wrappers go in
+    searched, detected = [], []
+
+    def spy(name, log):
+        fn = getattr(connectedness, name)
+
+        def wrapper(*args):
+            result = fn(*args)
+            log.append(result if name == "bfs_until" else (name, args[0]))
+            return result
+
+        monkeypatch.setattr(connectedness, name, wrapper)
+
+    for name, log in (
+        ("bfs_until", searched),
+        ("detect_plain_witness", detected),
+        ("detect_generalized_witness", detected),
+    ):
+        spy(name, log)
+    for algo, run in runs.items():
+        want = "detect_generalized_witness" if algo == "mid-alpha" else "detect_plain_witness"
+        for seed in range(1, 4):
+            searched.clear()
+            detected.clear()
+            run(seed)
+            assert searched, algo
+            # Each search goes to its detector, unless the budget cut it short.
+            assert detected == [(want, out) for out in searched if not out.budget_hit], algo
 
 
 @pytest.mark.parametrize("graph", ["connected", "far"])

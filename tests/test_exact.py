@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 import random
 import sys
 import time
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 from pegkit import exact
 from pegkit import graph as graph_module
 
-from pegkit.connectedness import mid_alpha_plan
+from pegkit.connectedness import (
+    EdgeCap,
+    VertexCap,
+    bfs_until,
+    mid_alpha_plan,
+    small_alpha_plan,
+    unknown_davg_plan,
+)
 from pegkit.exact import (
     SearchBoundExceeded,
     Uncompletable,
@@ -29,12 +37,11 @@ from pegkit.exact import (
     high_degree_set,
     inventory_witnesses,
     is_small,
-    mid_alpha_rejection_probability,
     min_completion_components,
     quality_edge_variant,
     quality_vertex_variant,
     reach_listed,
-    small_alpha_rejection_probability,
+    rejection_probability,
 )
 from pegkit.graph import (
     ERASED,
@@ -55,6 +62,7 @@ from pegkit.instances import (
     gen_gplus,
     gen_random_regularish,
 )
+from pegkit.oracle import QuerySession
 
 
 # --- completions -------------------------------------------------------------
@@ -362,7 +370,7 @@ def test_each_fact_is_built_once_per_graph():
         exact_report(g, 2, Fraction(1, 4))
         distance_to_connectedness(g)
         inventory_witnesses(g)
-        mid_alpha_rejection_probability(g, 0.3, 0.02, g.avg_degree)
+        rejection_probability(g, mid_alpha_plan(0.3, 0.02, g.avg_degree))
         assert [spy.call_count for spy in spies] == [1, 1, 1]
 
 
@@ -396,8 +404,14 @@ def test_mid_alpha_rejection_probability_counts_anchor_starts():
     # from its single anchor certifies it: 1 detecting start out of 27.
     g = gen_fig_component("one-erasure-anchored", seed=3).graph
     assert g.num_vertices == 27
-    p = mid_alpha_rejection_probability(g, 0.3, 0.02, g.avg_degree)
+    p = rejection_probability(g, mid_alpha_plan(0.3, 0.02, g.avg_degree))
     assert p == 1 - (1 - 1 / 27) ** 9
+
+
+def test_rejection_probability_needs_a_finite_schedule():
+    g = gen_fig_component("one-erasure-anchored", seed=3).graph
+    with pytest.raises(ValueError, match="finite schedule"):
+        rejection_probability(g, unknown_davg_plan(0.2, 0.0))
 
 
 def test_plain_witnesses_are_generalized_too():
@@ -655,7 +669,9 @@ def _reference_inventory(g):
 
 def _reference_mid_alpha(g, epsilon, alpha, davg):
     n = g.num_vertices
-    _, reps, qcap = mid_alpha_plan(epsilon, alpha, davg)
+    plan = mid_alpha_plan(epsilon, alpha, davg)
+    ((_, reps),) = plan.levels
+    qcap = plan.stop(1, 0).limit
     witnesses = {C for C, _ in _reference_inventory(g).generalized}
     detected = 0
     for s in range(n):
@@ -667,8 +683,25 @@ def _reference_mid_alpha(g, epsilon, alpha, davg):
 
 
 def _reference_small_alpha(g, epsilon, alpha, davg):
-    with mock.patch.object(exact, "inventory_witnesses", _reference_inventory):
-        return small_alpha_rejection_probability(g, epsilon, alpha, davg)
+    """The small-alpha probability in closed form: at level i a search closes
+    on a plain witness C of at most 2^i vertices (vertex case), or from a
+    start v with rep_len(C) <= 2^(i-1) * deg(v) + 1 (entry case)."""
+    n = g.num_vertices
+    b = 2.0 / ((epsilon - 2 * alpha) * davg)
+    vertex_case = b <= davg * math.log2(b)
+    t = max(1, math.ceil(math.log2(4 * b)))
+    accept = 1.0
+    for i in range(1, t + 1):
+        detected = 0
+        for C in _reference_inventory(g).plain:
+            rep_len = sum(g.degree(v) for v in C)
+            if vertex_case:
+                if len(C) <= 2**i:
+                    detected += len(C)
+            else:
+                detected += sum(1 for v in C if rep_len <= 2 ** (i - 1) * g.degree(v) + 1)
+        accept *= (1 - detected / n) ** math.ceil(4 * b * math.log(6) / 2**i)
+    return 1.0 - accept
 
 
 def _reference_pairs(g, slot_bound):
@@ -782,13 +815,16 @@ def _assert_matches_references(g, slot_bound=24):
     assert inventory_witnesses(g) == _reference_inventory(g)
     if g.num_entries:
         davg = g.avg_degree
+        # The plans take only the parameters their testers accept: eps < 2/davg.
         for eps, alpha in ((0.3, 0.0), (0.3, 0.02), (0.45, 0.1)):
-            assert mid_alpha_rejection_probability(g, eps, alpha, davg) == _reference_mid_alpha(
+            if eps >= 2 / davg:
+                continue
+            assert rejection_probability(g, mid_alpha_plan(eps, alpha, davg)) == _reference_mid_alpha(
                 g, eps, alpha, davg
             )
-            assert small_alpha_rejection_probability(g, eps, alpha, davg) == _reference_small_alpha(
-                g, eps, alpha, davg
-            )
+            assert rejection_probability(
+                g, small_alpha_plan(eps, alpha, davg)
+            ) == _reference_small_alpha(g, eps, alpha, davg)
     expected = _reference_pairs(g, slot_bound)
     if expected is None:
         with pytest.raises(SearchBoundExceeded):
@@ -860,6 +896,24 @@ def test_exact_oracles_match_references_on_generated_graphs(g):
     _assert_facts_match_references(g)
 
 
+@settings(max_examples=150, deadline=None)
+@given(erased_simple_graphs())
+def test_cap_closes_matches_the_search(g):
+    # A capped search from v closes just when its cap's `closes` says so for
+    # v's reach set C: erasure-free when it halts on erasures, or holding at
+    # most one erasure when it scans past them.
+    erased = erased_counts(g)
+    for v in range(g.num_vertices):
+        C = reach_listed(g, v)
+        held = sum(map(erased.__getitem__, C))
+        entries = sum(map(g.degree, C))
+        for halt in {0: (True, False), 1: (False,)}.get(held, ()):
+            for limit in range(max(len(C), entries) + 3):
+                for cap in (VertexCap(limit), EdgeCap(limit)):
+                    out = bfs_until(QuerySession(g), v, cap, halt)
+                    assert out.closed == cap.closes(len(C), entries), (v, cap, halt)
+
+
 def _path_plus_edge(n):
     """A path on n vertices beside a single edge: two mutual components."""
     rows = [[] for _ in range(n + 2)]
@@ -876,8 +930,8 @@ def test_exact_oracles_on_a_long_path_are_fast():
     g = _path_plus_edge(4000)
     t0 = time.perf_counter()
     inv = inventory_witnesses(g)
-    p_small = small_alpha_rejection_probability(g, 0.2, 0.0, g.avg_degree)
-    p_mid = mid_alpha_rejection_probability(g, 0.2, 0.0, g.avg_degree)
+    p_small = rejection_probability(g, small_alpha_plan(0.2, 0.0, g.avg_degree))
+    p_mid = rejection_probability(g, mid_alpha_plan(0.2, 0.0, g.avg_degree))
     elapsed = time.perf_counter() - t0
     assert sorted(len(c) for c in inv.plain) == [2, 4000]
     assert 0 < p_small < 1 and 0 < p_mid < 1
@@ -891,8 +945,8 @@ def test_exact_probabilities_on_a_large_connected_graph():
     # per probability on a 2-core host.
     g = gen_connected(50_000, 3.0, seed=1)
     for h, alpha in ((g, 0.0), (erase(g, 0.02, "uniform", seed=2), 0.02)):
-        for probability in (small_alpha_rejection_probability, mid_alpha_rejection_probability):
+        for make_plan in (small_alpha_plan, mid_alpha_plan):
             t0 = time.perf_counter()
-            assert probability(h, 0.2, alpha, h.avg_degree) == 0.0
+            assert rejection_probability(h, make_plan(0.2, alpha, h.avg_degree)) == 0.0
             elapsed = time.perf_counter() - t0
-            assert elapsed < 5.0, f"{probability.__name__}, alpha {alpha}: {elapsed:.1f} s"
+            assert elapsed < 5.0, f"{make_plan.__name__}, alpha {alpha}: {elapsed:.1f} s"
