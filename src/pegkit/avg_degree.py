@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ERASED
 from .oracle import QuerySession, split_seed
 
 SAMPLE_COEFF = 660.0
@@ -45,11 +44,6 @@ def precedes(g, u, v):
 def d_plus(g, u):
     """Number of non-erased neighbors of u ranked above u."""
     return sum(1 for w in g.listed(u) if precedes(g, u, w))
-
-
-def d_bot(g, u):
-    """Number of erased slots in u's list."""
-    return g.erased_count(u)
 
 
 def chi_threshold(n, crude, epsilon):
@@ -77,7 +71,14 @@ def check_parameters(n, epsilon, crude=None, sample_coeff=SAMPLE_COEFF, rep_coef
     for name, value in {"sample_coeff": sample_coeff, "rep_coeff": rep_coeff}.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite number, got {value}")
-    s = sample_count(n, DegreeEstimatorConfig(epsilon, crude, sample_coeff=sample_coeff))
+    try:
+        s = sample_count(n, DegreeEstimatorConfig(epsilon, crude, sample_coeff=sample_coeff))
+    except (ZeroDivisionError, OverflowError):
+        # eps^5 * crude underflowed to 0, or the count to infinity.
+        raise ValueError(
+            f"epsilon {epsilon} is too small for a crude estimate of {crude}: "
+            "a refinement's sample count is not finite"
+        ) from None
     if s > _MAX_SAMPLES:
         raise ValueError(
             f"sample_coeff {sample_coeff} is too large: a refinement would draw "
@@ -125,33 +126,13 @@ def sample_count(n, cfg):
     )
 
 
-def chi_sample(session, cfg):
-    """One credit sample (scalar reference path).
-
-    Charges one degree query for the sampled vertex, one neighbor query for
-    the drawn slot unless the vertex is isolated, and one more degree query
-    when the drawn entry is non-erased.
-    """
-    g = session.graph
-    tau = chi_threshold(g.num_vertices, cfg.crude, cfg.epsilon)
-    u = session.random_vertex()
-    du = session.degree(u)
-    if du == 0:
-        return 0.0
-    entry = session.random_neighbor(u)
-    if entry is not ERASED:
-        session.degree(entry)  # the query that ranks the entry
-    if (entry is ERASED or precedes(g, u, entry)) and du <= tau * (1 + _THRESHOLD_RTOL):
-        return float(du)
-    return 0.0
-
-
 def credit_counts(g):
     """Per-vertex (degree, d_bot, d_plus) as numpy arrays, vectorized.
 
     The ranked-above test is `precedes` over all slots at once. Counts are
     per slot, like the slot draw: a neighbor listed twice counts twice. On a
-    graph without repeated entries they equal `g.degree`, `d_bot` and `d_plus`.
+    graph without repeated entries they equal `g.degree`, `g.erased_count`
+    and `d_plus`.
     """
     n = g.num_vertices
     degrees, _, flat = g.flat_adjacency()

@@ -95,6 +95,8 @@ def _resolve_davg(args, g):
     if args.davg in (None, "auto"):
         return g.avg_degree
     davg = float(_ratio(args.davg))
+    if not davg > 0:
+        raise UsageError(f"--davg must be positive, got {args.davg}")
     if abs(davg - g.avg_degree) > 1e-9:
         print(
             f"warning: supplied davg {davg} differs from the graph's {g.avg_degree}; "

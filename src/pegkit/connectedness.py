@@ -3,8 +3,8 @@
 Each tester is a `TesterPlan`: a level schedule, the cap of each search, the
 witness it looks for and its budget. `run_plan` runs any plan: level by level
 it starts `bfs_until`, a BFS under a `VertexCap` or an `EdgeCap`, from uniform
-vertices and stops at the first witness or when the budget is spent. A cap's
-`closes` is the one rule for when a capped search closes. The plans:
+vertices and stops at the first witness or when the budget is spent. The
+plans:
 
   small_alpha_plan   known average degree, erasure fraction below eps/2;
                      a hard query cap at six times the schedule's cost.
@@ -45,21 +45,12 @@ class VertexCap:
 
     limit: int
 
-    def closes(self, vertices, entries):
-        """Whether a search closes on a reach set of this many vertices and row entries."""
-        return vertices < self.limit
-
 
 @dataclass(frozen=True)
 class EdgeCap:
     """Stop once this many adjacency entries have been scanned."""
 
     limit: int
-
-    def closes(self, vertices, entries):
-        """Whether a search closes on a reach set of this many vertices and row
-        entries, if each vertex past the start lists something (as `validate` asks)."""
-        return 0 < self.limit and entries <= self.limit
 
 
 @dataclass(slots=True)

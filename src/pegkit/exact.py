@@ -4,14 +4,14 @@ Everything here is exact: completions come from a full backtracking search,
 distances and expectations are computed as rationals, and witness
 inventories are built from full reachability rather than sampling. The
 distance reads only the first completion the search finds: it fixes the
-proven merge bound, which some completion always attains. Listing every
-completion is exponential in the number of free slots. The listing and the
-completion search are meant for instances up to a few hundred vertices;
-the witness inventories and rejection probabilities also run at 5*10^4.
+proven merge bound, which some completion always attains. Listing, or even
+counting, every completion is exponential in the number of free slots;
+`exact_report` counts them as the search yields them and keeps none. The
+completion search is meant for instances up to a few hundred vertices; the
+witness inventories also run at 5*10^4.
 
 A completion is held as the tuple of its free-slot pairs: the new edges
-beyond the forced fills. `completed_graph` is the one place that turns such
-a tuple into a graph with every erased slot filled.
+beyond the forced fills.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .avg_degree import THRESHOLD_COEFF, d_plus
-from .graph import PartiallyErasedGraph, closure, erased_counts, forced_partners, validate
+from .graph import closure, erased_counts, forced_partners, validate
 
 
 class Uncompletable(ValueError):
@@ -40,12 +40,12 @@ def enumerate_completions(g, slot_bound=20):
     be paired into new edges between distinct, non-adjacent vertices.
 
     Returns a list with one tuple of free-slot pairs (a, b), a < b, per
-    completion; distinct tuples give distinct edge sets, and
-    `completed_graph` fills the slots. `slot_bound` limits the number of
-    free slots phase 2 may search over; beyond it SearchBoundExceeded is
-    raised. Returns [] when `validate` reports any violation, since each one
-    rules out every completion. `_completions` yields the same tuples in the
-    same order, one at a time.
+    completion; distinct tuples give distinct edge sets. Each vertex's
+    erased slots hold its forced partners and its partners in the tuple.
+    `slot_bound` limits the number of free slots phase 2 may search over;
+    beyond it SearchBoundExceeded is raised. Returns [] when `validate`
+    reports any violation, since each one rules out every completion.
+    `_completions` yields the same tuples in the same order, one at a time.
     """
     return list(_completions(g, slot_bound))
 
@@ -164,30 +164,6 @@ def _lazy_combinations(items, k):
         index[i] += 1
         for j in range(i + 1, k):
             index[j] = index[j - 1] + 1
-
-
-def completed_graph(g, pairs):
-    """g with every erased slot filled, for the completion with free-slot pairs `pairs`.
-
-    Each vertex's erased slots take, in slot order, its forced partners and
-    its partners in `pairs`, sorted. Raises ValueError unless the partners
-    fill the erased slots exactly.
-    """
-    partners = {u: list(ws) for u, ws in forced_partners(g).items()}
-    for a, b in pairs:
-        partners.setdefault(a, []).append(b)
-        partners.setdefault(b, []).append(a)
-    rows = []
-    for u in range(g.num_vertices):
-        row = list(g.entries(u))
-        slots = g.erased_slots(u)
-        fills = sorted(partners.get(u, ()))
-        if len(fills) != len(slots):
-            raise ValueError(f"{len(fills)} partners for the {len(slots)} erased slots of {u}")
-        for i, w in zip(slots, fills):
-            row[i] = w
-        rows.append(row)
-    return PartiallyErasedGraph(rows)
 
 
 def components(g):
@@ -357,23 +333,6 @@ def _inventory(g, reach):
     return WitnessInventory(plain_list, gen_list)
 
 
-def is_small(C, eps_star, g):
-    """Small/big classification of a vertex set at parameter eps_star.
-
-    High average degree: small means few vertices; low average degree: small
-    means short representation length (sum of degrees).
-    """
-    davg = Fraction(g.num_entries, g.num_vertices)
-    if davg == 0:
-        raise ValueError("classification needs at least one edge")
-    eps_star = Fraction(eps_star)
-    if not 0 < eps_star < 2 / davg:
-        raise ValueError("eps_star must lie in (0, 2/davg)")
-    if eps_star >= 4 / davg**2:
-        return len(C) <= Fraction(4) / (eps_star * davg)
-    return sum(g.degree(v) for v in C) <= Fraction(4) / eps_star
-
-
 def high_degree_set(g, d_hat, eps):
     """Vertices with degree above THRESHOLD_COEFF * sqrt(n * d_hat / eps), exactly.
 
@@ -400,36 +359,6 @@ def exact_exp_chi(g, d_hat, eps):
     erased = erased_counts(g)
     total = sum(d_plus(g, u) + erased[u] for u in range(g.num_vertices) if u not in H)
     return Fraction(total, g.num_vertices)
-
-
-def quality_vertex_variant(g):
-    """Per-vertex quality, vertex-count flavor: 1/|C| inside a plain witness."""
-    q = {v: Fraction(0) for v in range(g.num_vertices)}
-    for C in inventory_witnesses(g).plain:
-        share = Fraction(1, len(C))
-        for v in C:
-            q[v] = share
-    return q
-
-
-def quality_edge_variant(g, completed):
-    """Per-vertex quality, edge-count flavor, relative to one completion.
-
-    Components holding any erasure (in g) score zero; an edgeless component
-    scores one; otherwise each vertex scores deg(v) / (2 * component edges).
-    """
-    q = {}
-    for C in components(completed):
-        erased = sum(g.erased_count(v) for v in C)
-        edges2 = sum(completed.degree(v) for v in C)
-        for v in C:
-            if erased > 0:
-                q[v] = Fraction(0)
-            elif edges2 == 0:
-                q[v] = Fraction(1)
-            else:
-                q[v] = Fraction(g.degree(v), edges2)
-    return q
 
 
 @dataclass
@@ -461,42 +390,27 @@ class ExactReport:
 
 
 def exact_report(g, d_hat=None, eps=None, slot_bound=20):
-    completions = enumerate_completions(g, slot_bound=slot_bound)
-    min_comp = dist = None
-    if completions:
-        min_comp = min_completion_components(g, completions)
+    """Every exact oracle on g in one report; exp_chi needs both d_hat and eps.
+
+    The completions are counted as the search yields them, and only the
+    first is kept: it fixes the distance (see `min_completion_components`).
+    """
+    completions = _completions(g, slot_bound)
+    first = next(completions, None)
+    count, min_comp, dist = 0, None, None
+    if first is not None:
+        count = 1 + sum(1 for _ in completions)
+        min_comp = min_completion_components(g, (first,))
         dist = _distance(g, min_comp)
     inv = inventory_witnesses(g)
     chi = None
     if d_hat is not None and eps is not None:
         chi = exact_exp_chi(g, d_hat, eps)
     return ExactReport(
-        completions_count=len(completions),
+        completions_count=count,
         min_components=min_comp,
         distance_to_connectedness=dist,
         plain_witnesses=inv.plain,
         generalized_witnesses=inv.generalized,
         exp_chi=chi,
     )
-
-
-def rejection_probability(g, plan):
-    """Exact probability that one run of a tester's `plan` rejects g.
-
-    A search from v finds a witness just when v's reach set C is a witness of
-    the plan's kind and plan.stop(i, deg v).closes(|C|, entries of C's rows).
-    For calibrating statistical tests; assumes the budget never binds. The
-    schedule must be a tuple: unknown-davg's never ends.
-    """
-    if not isinstance(plan.levels, tuple):
-        raise ValueError("the exact rejection probability needs a finite schedule")
-    reach = _reach_sets(g)
-    inv = _inventory(g, reach)
-    witnesses = [C for C, _ in inv.generalized] if plan.generalized else inv.plain
-    entries = {C: sum(map(g.degree, C)) for C in witnesses}
-    starts = [(g.degree(v), C) for v, C in enumerate(reach) if C in entries]
-    accept = 1.0
-    for i, reps in plan.levels:
-        detected = sum(1 for d, C in starts if plan.stop(i, d).closes(len(C), entries[C]))
-        accept *= (1 - detected / g.num_vertices) ** reps
-    return 1.0 - accept

@@ -115,10 +115,6 @@ class PartiallyErasedGraph:
             self._listed[u] = cached
         return cached
 
-    def erased_slots(self, u):
-        """0-based indices of the erased slots in u's list."""
-        return tuple(i for i, e in enumerate(self._adj[u]) if e is ERASED)
-
     def erased_count(self, u):
         return self._adj[u].count(ERASED)
 

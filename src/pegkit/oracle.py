@@ -49,7 +49,6 @@ class QuerySession:
         self.trace = trace
         self.degree_queries = 0
         self.neighbor_queries = 0
-        self._degree_known = set()
         # The budget rule, fixed here and tested inline by each query:
         # _degree_cap caps degree + neighbor queries (a "both" budget) and is
         # checked by both kinds; _neighbor_cap caps neighbor queries alone.
@@ -74,7 +73,6 @@ class QuerySession:
             raise self._budget_error()
         d = self.graph.degree(u)
         self.degree_queries += 1
-        self._degree_known.add(u)
         if self.trace is not None:
             self.trace.write(f"D {u}\n")
         return d
@@ -91,20 +89,6 @@ class QuerySession:
         if self.trace is not None:
             self.trace.write(f"N {u} {i} -> {'*' if e is ERASED else e}\n")
         return e
-
-    def random_neighbor(self, u):
-        """Uniformly random entry of u's list, or None when deg(u) = 0.
-
-        Charges a degree query first unless one was already charged for u in
-        this session, then one neighbor query for the drawn slot. The
-        deg(u) = 0 case charges no neighbor query.
-        """
-        if u not in self._degree_known:
-            self.degree(u)
-        d = self.graph.degree(u)
-        if d == 0:
-            return None
-        return self.neighbor(u, self.rng.randint(1, d))
 
     def random_vertex(self):
         """Uniform vertex draw from the session RNG (not a charged query)."""

@@ -32,8 +32,6 @@ from pegkit.exact import (
     distance_to_connectedness,
     exact_exp_chi,
     inventory_witnesses,
-    is_small,
-    rejection_probability,
 )
 from pegkit.graph import validate
 from pegkit.instances import (
@@ -49,6 +47,8 @@ from pegkit.instances import (
     gen_random_regularish,
 )
 from pegkit.oracle import BLANK, FilterOracle, QuerySession, split_seed
+
+from reference import is_small, rejection_probability
 
 
 def report(criterion, ok, detail):

@@ -245,6 +245,8 @@ def test_out_of_range_entry_exits_2(tmp_path, capsys, argv):
         (["--eps", "0.25", "--sample-coeff", "nan"], "sample_coeff must be a positive"),
         (["--eps", "0.25", "--rep-coeff", "0"], "rep_coeff must be a positive"),
         (["--eps", "0.25", "--sample-coeff", "1e30"], "sample_coeff 1e+30 is too large"),
+        # eps**5 underflows to 0, so the sample count is not a finite number.
+        (["--eps", "1e-300"], "epsilon 1e-300 is too small"),
     ],
 )
 def test_estimate_parameter_errors_exit_2(tmp_path, capsys, extra, message):
@@ -312,6 +314,19 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
          "d_hat must be positive, got -3"),
         (["exact", "--what", "report", "--dhat", "2"], "report needs both --dhat and --eps, or neither"),
         (["exact", "--what", "report", "--eps", "1/4"], "report needs both --dhat and --eps, or neither"),
+        # A non-positive --davg is refused before the mismatch warning, for
+        # every tester, unknown-davg (which never reads it) included.
+        (["test-conn", "--algo", "mid-alpha", "--eps", "0.2", "--davg", "0"], "--davg must be positive, got 0"),
+        (["test-conn", "--algo", "small-alpha", "--eps", "0.2", "--davg", "-1"],
+         "--davg must be positive, got -1"),
+        (["test-conn", "--algo", "no-erasure", "--eps", "0.2", "--davg", "0/5"],
+         "--davg must be positive, got 0/5"),
+        (["test-conn", "--algo", "unknown-davg", "--eps", "0.2", "--davg", "0"],
+         "--davg must be positive, got 0"),
+        (["bench", "--algo", "mid-alpha", "--sweep", "eps=0.2", "--davg", "-1"],
+         "--davg must be positive, got -1"),
+        (["bench", "--algo", "unknown-davg", "--sweep", "alpha=0", "--davg", "0"],
+         "--davg must be positive, got 0"),
     ],
 )
 def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -22,10 +22,12 @@ from pegkit.connectedness import (
     tester_unknown_davg,
     unknown_davg_budget,
 )
-from pegkit.exact import inventory_witnesses, rejection_probability
+from pegkit.exact import inventory_witnesses
 from pegkit.graph import ERASED, PartiallyErasedGraph
 from pegkit.instances import erase, gen_connected, gen_far_forest, gen_gplus
 from pegkit.oracle import BudgetExhausted, QuerySession
+
+from reference import rejection_probability
 
 
 def two_triangles():

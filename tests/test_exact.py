@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -13,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegkit import exact
+from pegkit import connectedness, exact
 from pegkit import graph as graph_module
 
 from pegkit.connectedness import (
     EdgeCap,
     VertexCap,
     bfs_until,
+    detect_generalized_witness,
     mid_alpha_plan,
     small_alpha_plan,
     unknown_davg_plan,
@@ -28,7 +30,6 @@ from pegkit.exact import (
     SearchBoundExceeded,
     Uncompletable,
     WitnessInventory,
-    completed_graph,
     components,
     distance_to_connectedness,
     enumerate_completions,
@@ -36,12 +37,8 @@ from pegkit.exact import (
     exact_report,
     high_degree_set,
     inventory_witnesses,
-    is_small,
     min_completion_components,
-    quality_edge_variant,
-    quality_vertex_variant,
     reach_listed,
-    rejection_probability,
 )
 from pegkit.graph import (
     ERASED,
@@ -63,6 +60,16 @@ from pegkit.instances import (
     gen_random_regularish,
 )
 from pegkit.oracle import QuerySession
+
+from reference import (
+    closes,
+    completed_graph,
+    erased_slots,
+    is_small,
+    quality_edge_variant,
+    quality_vertex_variant,
+    rejection_probability,
+)
 
 
 # --- completions -------------------------------------------------------------
@@ -414,6 +421,22 @@ def test_rejection_probability_needs_a_finite_schedule():
         rejection_probability(g, unknown_davg_plan(0.2, 0.0))
 
 
+def test_rejection_probability_refuses_a_graph_that_fails_validate():
+    # The cap rule counts on every reached vertex listing something. Here 0
+    # reaches 2, whose row is empty, so a search from 0 under EdgeCap(3)
+    # stops before 2 and does not close on {0, 1, 2}, 3 entries and all. The
+    # rule would count 4 detecting starts of 5 (0.8) where the search
+    # detects from 3 (0.6).
+    g = PartiallyErasedGraph([[1, 2], [ERASED], [], [4], [3]])
+    assert {v.code for v in validate(g)} == {"odd-entry-total", "forced-overflow"}
+    assert closes(EdgeCap(3), 3, 3)
+    searches = [bfs_until(QuerySession(g), v, EdgeCap(3)) for v in range(5)]
+    assert [v for v, out in enumerate(searches) if detect_generalized_witness(out)] == [2, 3, 4]
+    plan = connectedness.TesterPlan(((1, 1),), lambda i, d: EdgeCap(3), generalized=True)
+    with pytest.raises(ValueError, match="passes validate"):
+        rejection_probability(g, plan)
+
+
 def test_plain_witnesses_are_generalized_too():
     g = gen_far_forest(0.2, 0.1, 120, seed=2)
     inv = inventory_witnesses(g)
@@ -586,6 +609,24 @@ def test_exact_report_serializes_rationals():
     assert "/" in d["exp_chi"]
 
 
+def test_exact_report_counts_completions_without_keeping_them():
+    # 11!! = 10 395 completions; listing them all peaked at 2.3 MB.
+    g = gen_gminus("1/7", 12, seed=1)
+    tracemalloc.start()
+    try:
+        report = exact_report(g, slot_bound=80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6, f"{peak / 1e6:.2f} MB"
+    completions = enumerate_completions(g, slot_bound=80)
+    min_comp = min_completion_components(g, completions)
+    d = report.to_dict()
+    assert len(completions) == 10395
+    assert (d["completions_count"], d["min_components"]) == (len(completions), min_comp)
+    assert d["distance_to_connectedness"] == str(Fraction(min_comp - 1, g.num_edges))
+
+
 # --- references: per-call facts, the per-vertex inventory, the first search ---
 #
 # The exact oracles derive the erased counts, forced partners and components
@@ -710,7 +751,7 @@ def _reference_pairs(g, slot_bound):
     n = g.num_vertices
     listed = [g.listed(u) for u in range(n)]
     forced = _reference_forced_partners(g)
-    free = [len(g.erased_slots(u)) - len(forced.get(u, ())) for u in range(n)]
+    free = [len(erased_slots(g, u)) - len(forced.get(u, ())) for u in range(n)]
     if sum(free) > slot_bound:
         return None
     base_pairs = set()
@@ -819,12 +860,14 @@ def _assert_matches_references(g, slot_bound=24):
         for eps, alpha in ((0.3, 0.0), (0.3, 0.02), (0.45, 0.1)):
             if eps >= 2 / davg:
                 continue
-            assert rejection_probability(g, mid_alpha_plan(eps, alpha, davg)) == _reference_mid_alpha(
-                g, eps, alpha, davg
-            )
-            assert rejection_probability(
-                g, small_alpha_plan(eps, alpha, davg)
-            ) == _reference_small_alpha(g, eps, alpha, davg)
+            plans = mid_alpha_plan(eps, alpha, davg), small_alpha_plan(eps, alpha, davg)
+            if validate(g):
+                for plan in plans:
+                    with pytest.raises(ValueError, match="passes validate"):
+                        rejection_probability(g, plan)
+                continue
+            assert rejection_probability(g, plans[0]) == _reference_mid_alpha(g, eps, alpha, davg)
+            assert rejection_probability(g, plans[1]) == _reference_small_alpha(g, eps, alpha, davg)
     expected = _reference_pairs(g, slot_bound)
     if expected is None:
         with pytest.raises(SearchBoundExceeded):
@@ -837,7 +880,7 @@ def _assert_matches_references(g, slot_bound=24):
     _assert_distance_matches_full_scan(g, completions, slot_bound)
     # Every completed graph is a valid simple graph, and erasing g's slots
     # again gives g back.
-    slots = [(u, i) for u in range(g.num_vertices) for i in g.erased_slots(u)]
+    slots = [(u, i) for u in range(g.num_vertices) for i in erased_slots(g, u)]
     for pairs in completions[:100]:
         full = completed_graph(g, pairs)
         assert validate(full) == []
@@ -899,7 +942,7 @@ def test_exact_oracles_match_references_on_generated_graphs(g):
 @settings(max_examples=150, deadline=None)
 @given(erased_simple_graphs())
 def test_cap_closes_matches_the_search(g):
-    # A capped search from v closes just when its cap's `closes` says so for
+    # A capped search from v closes just when `closes` says so for its cap and
     # v's reach set C: erasure-free when it halts on erasures, or holding at
     # most one erasure when it scans past them.
     erased = erased_counts(g)
@@ -911,7 +954,7 @@ def test_cap_closes_matches_the_search(g):
             for limit in range(max(len(C), entries) + 3):
                 for cap in (VertexCap(limit), EdgeCap(limit)):
                     out = bfs_until(QuerySession(g), v, cap, halt)
-                    assert out.closed == cap.closes(len(C), entries), (v, cap, halt)
+                    assert out.closed == closes(cap, len(C), entries), (v, cap, halt)
 
 
 def _path_plus_edge(n):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pegkit.exact import completed_graph, components, distance_to_connectedness, enumerate_completions
+from pegkit.exact import components, distance_to_connectedness, enumerate_completions
 from pegkit.graph import ERASED, validate
 from pegkit.instances import (
     FamilySpec,
@@ -21,6 +21,8 @@ from pegkit.instances import (
     gen_random_regularish,
     generate,
 )
+
+from reference import completed_graph
 
 
 def sample_instances():

@@ -1,5 +1,4 @@
 import io
-import math
 
 import pytest
 
@@ -73,40 +72,12 @@ def test_determinism_same_seed_same_everything():
         answers = []
         for _ in range(50):
             u = s.random_vertex()
-            answers.append((u, s.degree(u), s.random_neighbor(u)))
+            d = s.degree(u)
+            answers.append((u, d, s.neighbor(u, s.rng.randint(1, d)) if d else None))
         return answers, s.degree_queries, s.neighbor_queries
 
     assert run(7) == run(7)
     assert run(7) != run(8)
-
-
-def test_random_neighbor_degenerate_cases():
-    g = PartiallyErasedGraph([[1], [0], []])
-    s = QuerySession(g, seed=3)
-    assert s.random_neighbor(0) == 1  # single entry, probability 1
-    d0, n0 = s.degree_queries, s.neighbor_queries
-    assert s.random_neighbor(2) is None
-    assert s.degree_queries == d0 + 1  # charges only the degree lookup
-    assert s.neighbor_queries == n0
-
-
-def test_random_neighbor_charges_degree_once():
-    s = QuerySession(path3(), seed=0)
-    s.degree(1)
-    d0 = s.degree_queries
-    s.random_neighbor(1)
-    assert s.degree_queries == d0  # degree already known to the session
-    assert s.neighbor_queries == 1
-
-
-def test_random_neighbor_uniform_over_slots():
-    # degree 4 with one erased slot: erased frequency 1/4 within 3 sigma
-    g = PartiallyErasedGraph([[1, 2, ERASED, 3], [0], [0], [0], []])
-    s = QuerySession(g, seed=12345)
-    n = 100_000
-    hits = sum(1 for _ in range(n) if s.random_neighbor(0) is ERASED)
-    sigma = math.sqrt(n * 0.25 * 0.75)
-    assert abs(hits - n / 4) <= 3 * sigma
 
 
 def test_split_seed_is_stable_and_spread():
