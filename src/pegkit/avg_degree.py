@@ -7,8 +7,10 @@ or a vertex ranked above u. Ranking is by (degree, id), so every mutual edge
 is credited exactly once; crediting erased entries is what buys erasure
 resilience at the cost of counting some erased edges twice.
 
-The driver searches crude estimates n/2^i in decreasing powers of two and
-returns the first refined median that overtakes its crude input.
+`refine_estimate` runs the step t times at one crude value, in one draw,
+and returns the lower median. The driver searches crude estimates n/2^i in
+decreasing powers of two, one `refine_estimate` call each, and returns the
+first median that overtakes its crude input.
 
 The sample and repetition coefficients default to the analyzed
 SAMPLE_COEFF=660 and REP_COEFF=12. Only these two can be overridden, for
@@ -80,10 +82,12 @@ def check_parameters(n, epsilon, crude=None, sample_coeff=SAMPLE_COEFF, rep_coef
             "a refinement's sample count is not finite"
         ) from None
     if s > _MAX_SAMPLES:
-        raise ValueError(
-            f"sample_coeff {sample_coeff} is too large: a refinement would draw "
-            f"{s} samples, more than int64 holds"
+        # Blame the coefficient only when the analyzed one's count would fit.
+        cause = (
+            f"sample_coeff {sample_coeff} is too large" if s / sample_coeff * SAMPLE_COEFF <= _MAX_SAMPLES
+            else f"epsilon {epsilon} is too small for a crude estimate of {crude}"
         )
+        raise ValueError(f"{cause}: a refinement would draw {s} samples, more than int64 holds")
 
 
 def is_conforming(sample_coeff=SAMPLE_COEFF, rep_coeff=REP_COEFF):
@@ -101,11 +105,6 @@ class DegreeEstimatorConfig:
     @property
     def conforming(self):
         return is_conforming(self.sample_coeff)
-
-    def validate(self, n):
-        """Raise ValueError unless a refinement on n vertices can run with this config."""
-        # A missing crude value reaches the check as 0 and is rejected there.
-        check_parameters(n, self.epsilon, self.crude or 0.0, self.sample_coeff)
 
 
 @dataclass
@@ -235,44 +234,35 @@ def _outcome_law(g, stop):
     return law
 
 
-def refine_level(g, cfg, t, session):
-    """Draw t independent refinements at cfg.crude in one call.
+def refine_estimate(g, cfg, reps=1, session=None):
+    """Sharpen a crude estimate: the lower median of `reps` refinements at cfg.crude.
 
-    One seeded numpy generator draws a t-row multinomial over
+    One seeded numpy generator draws a `reps`-row multinomial over
     `credit_outcomes`, so each row has exactly the joint distribution of
-    per-slot draws. Returns (values, samples per refinement, degree queries,
-    neighbor queries), where a value is twice its row's mean credit, computed
-    in float64, and the query totals are exact over all t rows and charged to
-    the session in bulk: one degree query per sample, one neighbor query per
-    non-isolated sample, one extra degree query per non-erased drawn entry.
+    per-slot draws. A row's value is twice its mean credit, computed in
+    float64. The query totals are exact over all rows and charged in bulk to
+    `session`, or to a fresh one: one degree query per sample, one neighbor
+    query per non-isolated sample, one extra degree query per non-erased
+    drawn entry. The estimate counts the samples and queries of this call.
     """
     n = g.num_vertices
-    cfg.validate(n)
+    # A missing crude value reaches the check as 0 and is rejected there.
+    check_parameters(n, cfg.epsilon, cfg.crude or 0.0, cfg.sample_coeff)
     s = sample_count(n, cfg)
     p, value, erased = credit_outcomes(g, chi_threshold(n, cfg.crude, cfg.epsilon))
-    drawn = np.random.default_rng(cfg.seed & (2**64 - 1)).multinomial(s, p, size=t)
+    drawn = np.random.default_rng(cfg.seed & (2**64 - 1)).multinomial(s, p, size=reps)
     # A row sums to s, so it fits an int64; totals over rows are Python ints.
     isolated = sum(drawn[:, 0].tolist())
-    degree = 2 * s * t - isolated - sum(drawn.dot(erased).tolist())
-    neighbor = s * t - isolated
+    degree = 2 * s * reps - isolated - sum(drawn.dot(erased).tolist())
+    neighbor = s * reps - isolated
+    if session is None:
+        session = QuerySession(g, seed=cfg.seed)
     session.charge_bulk(degree=degree, neighbor=neighbor)
-    return (2.0 * (drawn * value).sum(axis=1) / s).tolist(), s, degree, neighbor
-
-
-def refine_estimate(g, cfg):
-    """Sharpen a crude average-degree estimate: `refine_level` with one row.
-
-    The returned estimate counts the queries of this refinement alone.
-    """
-    (value,), s, degree, neighbor = refine_level(g, cfg, 1, QuerySession(g, seed=cfg.seed))
+    rows = sorted((2.0 * (drawn * value).sum(axis=1) / s).tolist())
     return DegreeEstimate(
-        value=value, samples=s, degree_queries=degree, neighbor_queries=neighbor,
-        crude=cfg.crude, conforming=cfg.conforming,
+        value=rows[(reps - 1) // 2], samples=s * reps, degree_queries=degree,
+        neighbor_queries=neighbor, crude=cfg.crude, conforming=cfg.conforming,
     )
-
-
-def _lower_median(values):
-    return sorted(values)[(len(values) - 1) // 2]
 
 
 def estimate_avg_degree(g, epsilon, seed=0, sample_coeff=SAMPLE_COEFF, rep_coeff=REP_COEFF):
@@ -280,9 +270,9 @@ def estimate_avg_degree(g, epsilon, seed=0, sample_coeff=SAMPLE_COEFF, rep_coeff
 
     For i = 0..ceil(log2 n) runs the refinement repeatedly at crude = n/2^i
     (kept as an exact real) and takes the lower median; returns the first
-    median that exceeds its crude input, or 1 if none does. Each level draws
-    its refinements in one `refine_level` call with its own split seed; all
-    levels charge one session, whose totals the estimate reports.
+    median that exceeds its crude input, or 1 if none does. Each level is one
+    `refine_estimate` call of t rows with its own split seed; all levels
+    charge one session, whose totals the estimate reports.
     """
     n = g.num_vertices
     check_parameters(n, epsilon, sample_coeff=sample_coeff, rep_coeff=rep_coeff)
@@ -292,17 +282,11 @@ def estimate_avg_degree(g, epsilon, seed=0, sample_coeff=SAMPLE_COEFF, rep_coeff
     value, crude, level = 1.0, None, None
     for i in range(math.ceil(math.log2(n)) + 1):
         level_crude = n / 2**i
-        cfg = DegreeEstimatorConfig(
-            epsilon=epsilon,
-            crude=level_crude,
-            seed=split_seed(seed, i),
-            sample_coeff=sample_coeff,
-        )
-        values, s, _, _ = refine_level(g, cfg, t, session)
-        samples += s * t
-        med = _lower_median(values)
-        if med > level_crude:
-            value, crude, level = med, level_crude, i
+        cfg = DegreeEstimatorConfig(epsilon, level_crude, split_seed(seed, i), sample_coeff)
+        est = refine_estimate(g, cfg, t, session)
+        samples += est.samples
+        if est.value > level_crude:
+            value, crude, level = est.value, level_crude, i
             break
     return DegreeEstimate(
         value=value,

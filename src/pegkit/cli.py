@@ -53,6 +53,14 @@ def _ratio(text):
         raise UsageError(f"not a rational number: {text!r}") from None
 
 
+def _real(text):
+    """`_ratio` as a float; UsageError if it lies past the float range."""
+    try:
+        return float(_ratio(text))
+    except OverflowError:
+        raise UsageError(f"out of the float range: {text!r}") from None
+
+
 def _write_rows(path, rows, fmt, summary=None, plan=None, columns=TRIAL_COLUMNS):
     if fmt == "csv":
         buf = io.StringIO()
@@ -94,7 +102,7 @@ def _load_graph(args):
 def _resolve_davg(args, g):
     if args.davg in (None, "auto"):
         return g.avg_degree
-    davg = float(_ratio(args.davg))
+    davg = _real(args.davg)
     if not davg > 0:
         raise UsageError(f"--davg must be positive, got {args.davg}")
     if abs(davg - g.avg_degree) > 1e-9:
@@ -139,7 +147,7 @@ def cmd_gen(args):
     if args.strategy:
         params["strategy"] = args.strategy
     if "davg" in params:
-        params["davg"] = float(params["davg"])
+        params["davg"] = _real(args.davg)
     spec = instances.FamilySpec(args.family, params, args.seed)
     try:
         g, manifest = instances.generate(spec)
@@ -159,7 +167,7 @@ def cmd_gen(args):
 
 def cmd_erase(args):
     g = _load_graph(args)
-    h = instances.erase(g, float(_ratio(args.alpha)), args.strategy, args.seed)
+    h = instances.erase(g, _real(args.alpha), args.strategy, args.seed)
     save_peg(h, args.out)
     print(f"wrote {args.out}: erased={h.erased_total} of {h.num_entries} entries")
     return 0
@@ -220,8 +228,8 @@ def _run_conn_trials(args, g, eps, alpha, davg):
 def cmd_test_conn(args):
     g = _load_graph(args)
     davg = _resolve_davg(args, g)
-    eps = float(_ratio(args.eps))
-    alpha = float(_ratio(args.alpha))
+    eps = _real(args.eps)
+    alpha = _real(args.alpha)
     rows = _run_conn_trials(args, g, eps, alpha, davg)
     rejections = sum(r["result"] == "reject" for r in rows)
     totals = [r["degree_queries"] + r["neighbor_queries"] for r in rows]
@@ -246,7 +254,7 @@ def cmd_test_conn(args):
 
 def cmd_estimate(args):
     g = _load_graph(args)
-    eps = float(_ratio(args.eps))
+    eps = _real(args.eps)
     avg_degree.check_parameters(
         g.num_vertices, eps, sample_coeff=args.sample_coeff, rep_coeff=args.rep_coeff
     )
@@ -335,12 +343,12 @@ def cmd_bench(args):
     rows = []
     for value in values.split(","):
         sweep_g = g
-        eps = float(_ratio(args.eps))
-        alpha = float(_ratio(args.alpha))
+        eps = _real(args.eps)
+        alpha = _real(args.alpha)
         if param == "eps":
-            eps = float(_ratio(value))
+            eps = _real(value)
         elif param == "alpha":
-            alpha = float(_ratio(value))
+            alpha = _real(value)
         elif not value.isascii() or not value.isdigit():
             raise UsageError(f"not a vertex count: {value!r}")
         else:

@@ -23,7 +23,6 @@ from pegkit.avg_degree import (
     estimate_avg_degree,
     precedes,
     refine_estimate,
-    refine_level,
     sample_count,
 )
 from pegkit.exact import exact_exp_chi
@@ -364,15 +363,16 @@ def test_refine_level_matches_exact_distribution(crude):
     g, cfg, s, tau, expected, sd = reference_case(crude)
     assert (max(g.degree(u) for u in range(g.num_vertices)) <= tau) == (crude == 2)
     levels, t = 400, 7
-    values, degree, neighbor = [], [], []
+    # a one-row refinement's value is its row's, so these follow the per-row law
+    values = [refine_estimate(g, replace(cfg, seed=split_seed(3, r))).value for r in range(levels * t)]
+    degree, neighbor = [], []
     for r in range(levels):
         session = QuerySession(g, seed=0)
-        rows, samples, d, nb = refine_level(g, replace(cfg, seed=split_seed(3, r)), t, session)
-        assert len(rows) == t and samples == s
-        assert (session.degree_queries, session.neighbor_queries) == (d, nb)
-        values += rows
-        degree.append(d / t)
-        neighbor.append(nb / t)
+        est = refine_estimate(g, replace(cfg, seed=split_seed(4, r)), t, session)
+        assert est.samples == s * t
+        assert (session.degree_queries, session.neighbor_queries) == (est.degree_queries, est.neighbor_queries)
+        degree.append(est.degree_queries / t)
+        neighbor.append(est.neighbor_queries / t)
     # a level's query totals average t rows, so their spread shrinks by sqrt(t)
     level_sd = (sd[0], sd[1] / math.sqrt(t), sd[2] / math.sqrt(t))
     assert worst_z((values, degree, neighbor), expected, level_sd) <= 4
@@ -412,9 +412,23 @@ def test_refine_sums_exactly_past_int64():
     assert (1 - 0.25) * 20 <= est.value <= (1 + 0.25) * 20
     # no isolated vertex and no erased slot: two degree queries and one neighbor query per sample
     assert (est.degree_queries, est.neighbor_queries) == (2 * est.samples, est.samples)
-    rows, s, degree, neighbor = refine_level(g, cfg, 6, QuerySession(g))
-    assert all((1 - 0.25) * 20 <= v <= (1 + 0.25) * 20 for v in rows)
-    assert (degree, neighbor) == (2 * 6 * s, 6 * s)
+    level = refine_estimate(g, cfg, 6)
+    assert (1 - 0.25) * 20 <= level.value <= (1 + 0.25) * 20
+    assert level.samples == 6 * est.samples
+    assert (level.degree_queries, level.neighbor_queries) == (2 * level.samples, level.samples)
+
+
+def test_refine_takes_the_lower_median_of_its_rows():
+    # At an even row count the two middle rows differ, so an upper median or a
+    # mean of the two would not give this value.
+    g, cfg, s, tau, _, _ = reference_case(Fraction(1, 50))
+    p, value, _ = credit_outcomes(g, tau)
+    reps = 6
+    for seed in range(5):
+        drawn = np.random.default_rng(seed).multinomial(s, p, size=reps)
+        rows = sorted((2.0 * (drawn * value).sum(axis=1) / s).tolist())
+        assert rows[(reps - 1) // 2] < rows[reps // 2]
+        assert refine_estimate(g, replace(cfg, seed=seed), reps).value == rows[(reps - 1) // 2]
 
 
 def test_refine_accounting_no_isolates_no_erasures():
@@ -525,6 +539,30 @@ def test_estimate_charges_one_session(monkeypatch):
     ]
     assert est.samples == sum(s * t for s in level_samples)
     assert est.neighbor_queries < est.degree_queries < 2 * est.samples
+
+
+def test_refine_patched_on_the_module_sees_every_level(monkeypatch):
+    # The traced benchmark wraps `refine_estimate` on the module, so the
+    # search must look it up there at every level.
+    g = erase(gen_random_regularish(200, 3, seed=5), 0.3, "uniform", seed=6)
+    n = g.num_vertices
+    calls = []
+    refine = avg_degree.refine_estimate
+
+    def wrapper(*args):
+        est = refine(*args)
+        calls.append(est)
+        return est
+
+    monkeypatch.setattr(avg_degree, "refine_estimate", wrapper)
+    for seed in range(1, 4):
+        calls.clear()
+        est = estimate_avg_degree(g, 0.25, seed=seed, sample_coeff=10.0, rep_coeff=2.0)
+        levels = math.ceil(math.log2(n)) + 1 if est.iteration is None else est.iteration + 1
+        assert len(calls) == levels > 1
+        assert est.samples == sum(c.samples for c in calls)
+        assert est.degree_queries == sum(c.degree_queries for c in calls)
+        assert est.neighbor_queries == sum(c.neighbor_queries for c in calls)
 
 
 def test_estimator_is_deterministic_in_the_seed():

@@ -247,6 +247,8 @@ def test_out_of_range_entry_exits_2(tmp_path, capsys, argv):
         (["--eps", "0.25", "--sample-coeff", "1e30"], "sample_coeff 1e+30 is too large"),
         # eps**5 underflows to 0, so the sample count is not a finite number.
         (["--eps", "1e-300"], "epsilon 1e-300 is too small"),
+        # The count overflows an int64 at the default coefficient too, so eps is to blame.
+        (["--eps", "1e-10"], "epsilon 1e-10 is too small for a crude estimate of"),
     ],
 )
 def test_estimate_parameter_errors_exit_2(tmp_path, capsys, extra, message):
@@ -327,15 +329,30 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
          "--davg must be positive, got -1"),
         (["bench", "--algo", "unknown-davg", "--sweep", "alpha=0", "--davg", "0"],
          "--davg must be positive, got 0"),
+        # A rational past the float range parses but has no float value.
+        (["test-conn", "--algo", "mid-alpha", "--eps", "1e400"], "out of the float range: '1e400'"),
+        (["test-conn", "--algo", "mid-alpha", "--eps", "0.2", "--davg", "1e400"],
+         "out of the float range: '1e400'"),
+        (["test-conn", "--algo", "mid-alpha", "--eps", "0.2", "--alpha", "1e400"],
+         "out of the float range: '1e400'"),
+        (["erase", "--alpha", "1e400"], "out of the float range: '1e400'"),
+        (["bench", "--algo", "mid-alpha", "--sweep", "eps=1e400"], "out of the float range: '1e400'"),
+        (["bench", "--algo", "mid-alpha", "--sweep", "alpha=-1e400"], "out of the float range: '-1e400'"),
+        (["estimate", "--eps", "1e400"], "out of the float range: '1e400'"),
+        (["gen", "--family", "connected", "--n", "10", "--davg", "1e400"], "out of the float range: '1e400'"),
     ],
 )
 def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):
     peg = tmp_path / "gm.peg"
     save_peg(gen_gminus("1/7", 4, seed=7), str(peg))
-    code, stdout, err = run(capsys, *argv, "--graph", str(peg))
+    out = tmp_path / "x.peg"
+    graph = [] if argv[0] == "gen" else ["--graph", str(peg)]
+    writes = ["--out", str(out)] if argv[0] in ("gen", "erase") else []
+    code, stdout, err = run(capsys, *argv, *graph, *writes)
     assert code == 2
     assert err == f"error: {message}\n"
     assert stdout == ""
+    assert not out.exists()
 
 
 def test_erase_unknown_strategy_exits_2(tmp_path, capsys):
