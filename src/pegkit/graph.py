@@ -12,12 +12,14 @@ derived as half the total list length, never stored separately.
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
+
+import numpy as np
 
 
 class _ErasedMark:
@@ -53,18 +55,18 @@ class PartiallyErasedGraph:
         n = len(adj)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        entries = erased = 0
-        for u, row in enumerate(adj):
-            entries += len(row)
-            for e in row:
-                if e is ERASED:
-                    erased += 1
-                elif not isinstance(e, int) or isinstance(e, bool):
-                    raise TypeError(f"entry {e!r} in list of {u} is not a vertex id")
+        # One count of entry types; the per-entry loop runs only to name a
+        # bad entry, or to let an int subclass such as an IntEnum member by.
+        kinds = Counter(map(type, chain.from_iterable(adj)))
+        if kinds.keys() - {int, _ErasedMark}:
+            for u, row in enumerate(adj):
+                for e in row:
+                    if e is not ERASED and (not isinstance(e, int) or isinstance(e, bool)):
+                        raise TypeError(f"entry {e!r} in list of {u} is not a vertex id")
         self._adj = tuple(adj)
         self._n = n
-        self._entries = entries
-        self._erased_total = erased
+        self._entries = kinds.total()
+        self._erased_total = kinds[_ErasedMark]
         self._listed = [None] * n
         self._derived = {}
 
@@ -135,8 +137,6 @@ class PartiallyErasedGraph:
         mark and the entry itself for every id: the key is found by identity,
         and an int never compares equal to the mark.
         """
-        import numpy as np
-
         degrees = np.fromiter(map(len, self._adj), dtype=np.int64, count=self._n)
         offsets = np.zeros(self._n, dtype=np.int64)
         np.cumsum(degrees[:-1], out=offsets[1:])
@@ -306,8 +306,11 @@ def closure(start, links):
 #
 # Entries are decimal ids or `*` for erased. Vertices without a line have
 # degree 0; the serializer omits them. Numbers are spelled `0|[1-9][0-9]*`,
-# the only spelling the serializer writes.
+# the only spelling the serializer writes. A vertex count above MAX_VERTICES
+# is refused before anything is allocated for it.
 # ---------------------------------------------------------------------------
+
+MAX_VERTICES = 2**31 - 1
 
 _NUMBER = re.compile(r"0|[1-9][0-9]*")
 # int() also reads signs, underscores, leading zeros and non-ASCII digits. A
@@ -317,11 +320,34 @@ _NUMBER = re.compile(r"0|[1-9][0-9]*")
 _PLAIN_CHARS = b"0123456789 *\r\npegvn"
 _LEADING_ZERO = re.compile(r" 0[0-9]")
 
+# The serializer's layout: its header, the characters of its `v` lines, and
+# 10, 100, ..., 10**18, where a number's rank is its digit count less one.
+_LAYOUT_HEAD = "peg 1\nn "
+_LAYOUT_CHARS = dict.fromkeys(map(ord, "0123456789 *v\n"))
+_POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
+
 
 def _number(tok):
     if not _NUMBER.fullmatch(tok):
         raise ValueError(f"{tok!r} is not a plain decimal number")
     return int(tok)
+
+
+def _vertex_table(n):
+    """n empty rows, refused with a ValueError naming n if they cannot be held."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} is above the limit {MAX_VERTICES}")
+    try:
+        return [()] * n
+    except MemoryError:
+        raise ValueError(f"vertex count {n} is too large to hold in memory") from None
+
+
+def _graph(rows):
+    try:
+        return PartiallyErasedGraph(rows)
+    except MemoryError:
+        raise ValueError(f"vertex count {len(rows)} is too large to hold in memory") from None
 
 
 def format_peg(g):
@@ -336,6 +362,82 @@ def format_peg(g):
 
 
 def parse_peg(text):
+    """The graph a PEG text describes; a ValueError naming the first problem if none.
+
+    Text in the exact layout `format_peg` writes is read in whole-text passes
+    (`_parse_layout`). Every other text, and every text with a content
+    problem, is read line by line (`_parse_lines`), which is the reference
+    for both the graph and the error message.
+    """
+    g = _parse_layout(text)
+    return g if g is not None else _parse_lines(text)
+
+
+def _parse_layout(text):
+    """The graph of a text in `format_peg`'s exact layout, or None for any other text.
+
+    The layout is `peg 1`, `n <count>`, then lines `v <id> <entries>` with
+    ascending ids, one space between tokens and a final newline. The body is
+    proved to be in it by whole-text checks: only its characters occur, `v`
+    starts every line and occurs nowhere else, and a space precedes every
+    `*`. Then `v` and `*` become the sentinels -1 and -2 and one
+    `numpy.fromstring` reads every token; the checks leave it no malformed
+    token to stop at. Last, a width identity: the body is as long as its
+    tokens' printed widths, one separator after each token and the leading
+    newline. Every token's raw width is at least its value's printed width,
+    and every gap at least one character, so equality rules out doubled or
+    trailing spaces, empty lines, leading zeros, `*5` and entries past int64.
+    Ids that are out of range or not ascending, and entries past n, give None
+    too; `_parse_lines` then names the problem.
+    """
+    if not text.startswith(_LAYOUT_HEAD) or not text.endswith("\n"):
+        return None
+    nl = text.find("\n", len(_LAYOUT_HEAD))
+    count = text[len(_LAYOUT_HEAD):nl]
+    if len(count) > len(str(MAX_VERTICES)) or not _NUMBER.fullmatch(count):
+        return None
+    n = int(count)
+    if not 1 <= n <= MAX_VERTICES:
+        return None
+    body = text[nl:]
+    lines = body.count("\n") - 1
+    if (
+        body.translate(_LAYOUT_CHARS)
+        or body.count("v") != lines
+        or body.count("\nv") != lines
+        or body.count(" *") != body.count("*")
+    ):
+        return None
+    if not lines:  # the body is one newline; numpy would read it as [0]
+        return _graph(_vertex_table(n))
+    # On a small graph each numpy call costs more than the work it does, so
+    # the calls below are few and avoid numpy's Python-level wrappers.
+    tok = np.fromstring(body.replace("v", "-1").replace("*", "-2"), dtype=np.int64, sep=" ")
+    if len(body) != 2 * len(tok) + int(_POWERS_OF_TEN.searchsorted(tok, "right").sum()) + 1:
+        return None
+    starts = (tok == -1).nonzero()[0]
+    if starts[-1] == len(tok) - 1 or tok.max() >= n:
+        return None
+    ids = tok[starts + 1]
+    if ids[0] < 0 or not (ids[1:] > ids[:-1]).all():
+        return None
+    erased = (tok == -2).nonzero()[0]
+    flat = tok.tolist()
+    del tok
+    for i in memoryview(erased):
+        flat[i] = ERASED
+    # Memoryviews hand out one int at a time, where lists of the line
+    # bounds would hold three ints per line at once.
+    rows = _vertex_table(n)
+    ends = chain(memoryview(starts)[1:], [len(flat)])
+    for u, a, b in zip(memoryview(ids), memoryview(starts + 2), ends):
+        rows[u] = flat[a:b]
+    del flat  # the ids and the flat pointers go before the rows are copied
+    return _graph(rows)
+
+
+def _parse_lines(text):
+    """The reference parser: lines split on any whitespace, blank lines skipped."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln.strip()]
     if not lines or lines[0].split() != ["peg", "1"]:
@@ -353,7 +455,7 @@ def parse_peg(text):
         n = number(count)
     except ValueError as exc:
         raise ValueError("bad vertex count line") from exc
-    rows = [[] for _ in range(n)]
+    rows = _vertex_table(n)
     seen = set()
     for lineno, ln in enumerate(lines[2:], start=3):
         parts = ln.split()
@@ -381,7 +483,7 @@ def parse_peg(text):
                     raise ValueError(f"line {lineno}: entry {e} outside [0, {n})")
                 row.append(e)
         rows[u] = row
-    return PartiallyErasedGraph(rows)
+    return _graph(rows)
 
 
 def save_peg(g, path):

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pegkit
 from pegkit.cli import main
 from pegkit.graph import PartiallyErasedGraph, load_peg, save_peg
 from pegkit.instances import gen_gminus
@@ -212,6 +216,41 @@ def test_non_plain_numbers_exit_2(tmp_path, capsys, line, token):
     assert main(["exact", "--graph", str(peg), "--what", "validate"]) == 2
     kind = "entry" if token in line.split()[2:] else "vertex id"
     assert capsys.readouterr().err == f"error: cannot read graph: line 3: bad {kind} {token!r}\n"
+
+
+def test_vertex_count_above_the_limit_exits_2(tmp_path, capsys):
+    peg = tmp_path / "p.peg"
+    peg.write_text("peg 1\nn 99999999999\nv 0 1\nv 1 0\n")
+    code, stdout, err = run(capsys, "exact", "--graph", str(peg), "--what", "validate")
+    assert (code, stdout) == (2, "")
+    assert err == "error: cannot read graph: vertex count 99999999999 is above the limit 2147483647\n"
+
+
+# Runs the CLI in a child whose address space is capped at what it already
+# maps plus 512 MiB, so the table of 10**9 rows (8 GB) cannot be allocated.
+_CAPPED_CHILD = """
+import os, resource, sys
+import numpy
+from pegkit.cli import main
+pages = int(open("/proc/self/statm").read().split()[0])
+limit = pages * os.sysconf("SC_PAGE_SIZE") + (512 << 20)
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+sys.exit(main(["exact", "--graph", sys.argv[1], "--what", "validate"]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS and /proc/self/statm")
+def test_vertex_count_that_cannot_be_held_exits_2(tmp_path):
+    peg = tmp_path / "p.peg"
+    peg.write_text("peg 1\nn 1000000000\nv 0 1\nv 1 0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pegkit.__file__).parent.parent), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, str(peg)], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot read graph: vertex count 1000000000 is too large to hold in memory\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

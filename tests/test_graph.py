@@ -1,11 +1,18 @@
 
+import enum
+import re
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pegkit import graph
 from pegkit.exact import enumerate_completions
 from pegkit.graph import (
     ERASED,
+    MAX_VERTICES,
     PartiallyErasedGraph,
     erase_slots,
     format_peg,
@@ -144,8 +151,8 @@ def test_peg_count_and_vertex_lines_split_on_any_whitespace():
 
 
 @st.composite
-def valid_graphs(draw):
-    """A random simple graph whose lists are shuffled and partly erased."""
+def valid_graphs(draw, erasures=True):
+    """A random simple graph whose lists are shuffled and, unless told otherwise, partly erased."""
     n = draw(st.integers(1, 30))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
@@ -156,7 +163,7 @@ def valid_graphs(draw):
     out = []
     for row in rows:
         row = draw(st.permutations(row))
-        erased = draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
+        erased = draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row))) if erasures else []
         out.append([ERASED if gone else e for e, gone in zip(row, erased)])
     return PartiallyErasedGraph(out)
 
@@ -201,3 +208,150 @@ def test_peg_erased_entries_roundtrip():
     g = PartiallyErasedGraph([[1, ERASED], [0, ERASED]])
     assert parse_peg(format_peg(g)) == g
     assert "*" in format_peg(g)
+
+
+class Color(enum.IntEnum):
+    RED = 0
+    GREEN = 1
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", np.int64(1)], ids=["bool", "float", "str", "int64"])
+def test_constructor_names_a_non_int_entry(bad):
+    with pytest.raises(TypeError, match=re.escape(f"entry {bad!r} in list of 1 is not a vertex id")):
+        PartiallyErasedGraph([[1, ERASED], [ERASED, bad], [0]])
+
+
+def test_constructor_counts_entries_and_erasures():
+    g = PartiallyErasedGraph([[1, ERASED], [Color.RED, ERASED, 2], [], [ERASED]])
+    assert (g.num_entries, g.erased_total) == (6, 3)
+    assert g.entries(1)[0] is Color.RED
+    assert g == PartiallyErasedGraph([[1, ERASED], [0, ERASED, 2], [], [ERASED]])
+    h = PartiallyErasedGraph([[Color.GREEN], [Color.RED]])
+    assert (h.num_entries, h.erased_total) == (2, 0)
+
+
+def test_vertex_count_above_the_limit_is_refused():
+    text = "peg 1\nn 99999999999\nv 0 1\nv 1 0\n"
+    message = f"vertex count 99999999999 is above the limit {MAX_VERTICES}"
+    with pytest.raises(ValueError, match=message):
+        parse_peg(text)
+    with pytest.raises(ValueError, match=message):
+        graph._parse_lines(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _on_v_line(edit):
+    """A mutation that calls edit(parts, data, n) on the tokens of a drawn `v` line.
+
+    A text with no `v` line first gets `v 0`.
+    """
+    def mutate(lines, data):
+        if len(lines) == 2:
+            lines.append("v 0")
+        li = data.draw(st.integers(2, len(lines) - 1))
+        parts = lines[li].split()
+        edit(parts, data, int(lines[1].split()[1]))
+        lines[li] = " ".join(parts)
+    return mutate
+
+
+def _set_entry(make):
+    """A mutation that replaces a drawn entry, or adds one, with make(data, n)."""
+    def edit(parts, data, n):
+        i = data.draw(st.integers(2, len(parts)))
+        parts[i:i + 1] = [make(data, n)]
+    return _on_v_line(edit)
+
+
+def _leading_zero(parts, data, n):
+    i = data.draw(st.sampled_from([i for i, tok in enumerate(parts) if tok.isdigit()]))
+    parts[i] = "0" + parts[i]
+
+
+def _id_out_of_range(parts, data, n):
+    parts[1] = str(n + data.draw(st.integers(0, 2)))
+
+
+def _double_space(lines, data):
+    li = data.draw(st.integers(0, len(lines) - 1))
+    at = data.draw(st.sampled_from([i for i, c in enumerate(lines[li]) if c == " "]))
+    lines[li] = lines[li][:at] + " " + lines[li][at:]
+
+
+def _trailing_space(lines, data):
+    lines[data.draw(st.integers(0, len(lines) - 1))] += " "
+
+
+def _duplicate_line(lines, data):
+    if len(lines) == 2:
+        lines.append("v 0")
+    li = data.draw(st.integers(2, len(lines) - 1))
+    lines.insert(data.draw(st.integers(2, len(lines))), lines[li])
+
+
+def _swap_lines(lines, data):
+    if len(lines) > 3:
+        i, j = data.draw(st.lists(st.integers(2, len(lines) - 1), min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+
+
+def _v_to_previous_line(lines, data):
+    if len(lines) > 3:
+        li = data.draw(st.integers(3, len(lines) - 1))
+        lines[li - 1] += " v"
+        lines[li] = lines[li].removeprefix("v ")
+
+
+# Each edits the canonical text's lines in place, to be joined with newlines
+# and a final newline, or returns the whole text.
+MUTATIONS = {
+    "none": lambda lines, data: None,
+    "doubled space": _double_space,
+    "trailing space": _trailing_space,
+    "empty line": lambda lines, data: lines.insert(data.draw(st.integers(1, len(lines))), ""),
+    "no final newline": lambda lines, data: "\n".join(lines),
+    "crlf": lambda lines, data: "\r\n".join(lines) + "\r\n",
+    "**": _set_entry(lambda data, n: "**"),
+    "*5": _set_entry(lambda data, n: "*5"),
+    "5*": _set_entry(lambda data, n: "5*"),
+    "leading zero": _on_v_line(_leading_zero),
+    "v mid-line": _on_v_line(lambda parts, data, n: parts.insert(data.draw(st.integers(1, len(parts))), "v")),
+    "v moved to the line before": _v_to_previous_line,
+    "v with no id": lambda lines, data: lines.insert(data.draw(st.integers(2, len(lines))), "v"),
+    "duplicate v line": _duplicate_line,
+    "lines out of order": _swap_lines,
+    "id out of range": _on_v_line(_id_out_of_range),
+    "entry out of range": _set_entry(lambda data, n: str(n + data.draw(st.integers(0, 2)))),
+    "entry past int64": _set_entry(lambda data, n: str(2**63 + data.draw(st.integers(-1, 2**64)))),
+    "n 04": lambda lines, data: lines.__setitem__(1, "n 0" + lines[1].split()[1]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(valid_graphs(), st.sampled_from(sorted(MUTATIONS)), st.data())
+def test_parse_matches_the_per_line_parser(g, mutation, data):
+    lines = format_peg(g).splitlines()
+    text = MUTATIONS[mutation](lines, data) or "\n".join(lines) + "\n"
+    assert _outcome(parse_peg, text) == _outcome(graph._parse_lines, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(valid_graphs(), valid_graphs(erasures=False)))
+def test_serializer_output_skips_the_per_line_parser(g):
+    text = format_peg(g)
+    with mock.patch.object(graph, "_parse_lines", side_effect=AssertionError("per-line parse")):
+        assert parse_peg(text) == g
+
+
+def test_generated_graphs_skip_the_per_line_parser():
+    g = gen_connected(300, 3.0, seed=4)
+    with mock.patch.object(graph, "_parse_lines", side_effect=AssertionError("per-line parse")):
+        for h in (g, erase(g, 0.1, "uniform", seed=5)):
+            assert parse_peg(format_peg(h)) == h

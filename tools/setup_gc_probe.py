@@ -11,8 +11,14 @@ seed this script starts one fresh Python process, imports the checkout's
 `gc.callbacks` hook, then calls `run.main` for the workload. Once the last
 set-up is done it stops the run, so no round is measured. It prints, per
 set-up, the wall time, the collections of each generation, and whether the
-first full collection fired there. It changes no file of the checkout;
-`run.main` makes and removes its work directory under `perfbench/out/`.
+first full collection fired there. For that set-up it also prints which of
+its collections the full one was. Every automatic collection starts when
+generation 0 fills, so the collections that follow the full one in its
+set-up are the margin: a change that allocates about that many
+generation-0 thresholds (700 container allocations each) fewer before it
+moves the full collection into the next set-up. It changes no file of the
+checkout; `run.main` makes and removes its work directory under
+`perfbench/out/`.
 
 What the probe imports shifts the collection counts by a little, so compare
 only runs of this script with each other.
@@ -38,8 +44,9 @@ class _SetupsDone(Exception):
 
 def probe(checkout, workload, seed):
     """run.main's set-ups in this process: a record of ms and collections per
-    set-up, and the index of the set-up that ran the first full collection
-    (-1 before set-up 1, None if none ran before the last one ended)."""
+    set-up, the index of the set-up that ran the first full collection (-1
+    before set-up 1, None if none ran before the last one ended), and which
+    of that set-up's collections it was, counted from 1."""
     spec = importlib.util.spec_from_file_location("run", checkout / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
@@ -53,7 +60,10 @@ def probe(checkout, workload, seed):
         if current is not None:
             current["collections"][info["generation"]] += 1
         if info["generation"] == 2 and not first_full:
-            first_full.append(len(records) if current is not None else -1)
+            if current is None:
+                first_full.append((-1, None))
+            else:
+                first_full.append((len(records), sum(current["collections"])))
 
     def timed_setup(*args):
         nonlocal current
@@ -76,7 +86,8 @@ def probe(checkout, workload, seed):
         pass
     finally:
         gc.callbacks.remove(on_gc)
-    return {"setups": records, "first_full": first_full[0] if first_full else None}
+    where, at = first_full[0] if first_full else (None, None)
+    return {"setups": records, "first_full": where, "first_full_at": at}
 
 
 def main(argv=None):
@@ -103,7 +114,10 @@ def main(argv=None):
             print(f"{args.workload} seed {seed}: first full collection before set-up 1")
         for i, rec in enumerate(result["setups"]):
             gen0, gen1, gen2 = rec["collections"]
-            where = "  <- first full collection" if first_full == i else ""
+            where = ""
+            if first_full == i:
+                at, total = result["first_full_at"], gen0 + gen1 + gen2
+                where = f"  <- first full collection: its collection {at} of {total}, {total - at} after it"
             print(f"{args.workload} seed {seed} set-up {i + 1}: {rec['ms']:6.1f} ms, "
                   f"collections gen0 {gen0} gen1 {gen1} gen2 {gen2}{where}")
         if first_full is None:
