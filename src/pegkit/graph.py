@@ -388,7 +388,9 @@ def _parse_layout(text):
     and every gap at least one character, so equality rules out doubled or
     trailing spaces, empty lines, leading zeros, `*5` and entries past int64.
     Ids that are out of range or not ascending, and entries past n, give None
-    too; `_parse_lines` then names the problem.
+    too; `_parse_lines` then names the problem. Each row handed to the
+    constructor is a slice of one tuple of all tokens, so it keeps the row
+    without a copy.
     """
     if not text.startswith(_LAYOUT_HEAD) or not text.endswith("\n"):
         return None
@@ -426,13 +428,14 @@ def _parse_layout(text):
     del tok
     for i in memoryview(erased):
         flat[i] = ERASED
+    flat = tuple(flat)
     # Memoryviews hand out one int at a time, where lists of the line
     # bounds would hold three ints per line at once.
     rows = _vertex_table(n)
     ends = chain(memoryview(starts)[1:], [len(flat)])
     for u, a, b in zip(memoryview(ids), memoryview(starts + 2), ends):
         rows[u] = flat[a:b]
-    del flat  # the ids and the flat pointers go before the rows are copied
+    del flat  # the whole-text tuple goes before the graph is built
     return _graph(rows)
 
 

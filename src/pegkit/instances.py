@@ -288,22 +288,93 @@ def gen_cycle_union(n, cycle_len, seed=0):
     return _permute(rows, seed)[0]
 
 
+def _joinable_pair(edges, vertices):
+    """Whether networkx 3.6.1's scan finds two vertices not yet joined.
+
+    The swap rebinds the outer loop's vertex, so the scan skips some pairs
+    and can report none where one exists; the sampler then restarts. It is
+    kept as it is because a restart changes the draws that follow.
+    """
+    for u in vertices:
+        for w in vertices:
+            if u == w:
+                break
+            if u > w:
+                u, w = w, u
+            if (u, w) not in edges:
+                return True
+    return False
+
+
+def _regular_edges(d, n, rng):
+    """Edges of a random d-regular graph on n vertices: Steger-Wormald stub
+    pairing, restarted whenever the open stubs can no longer pair.
+
+    A port of networkx 3.6.1's `random_regular_graph`: it makes the same
+    draws from rng, so it returns the same edges.
+    """
+    while True:
+        edges = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            open_stubs = {}  # vertex -> unpaired stubs, in first-seen order
+            rng.shuffle(stubs)
+            it = iter(stubs)
+            for u, w in zip(it, it):
+                if u > w:
+                    u, w = w, u
+                if u != w and (u, w) not in edges:
+                    edges.add((u, w))
+                else:
+                    open_stubs[u] = open_stubs.get(u, 0) + 1
+                    open_stubs[w] = open_stubs.get(w, 0) + 1
+            if open_stubs and not _joinable_pair(edges, open_stubs):
+                break  # restart
+            stubs = [v for v, count in open_stubs.items() for _ in range(count)]
+        else:
+            return edges
+
+
+def _gnm_adjacency(n, m, rng):
+    """Neighbour sets of a uniform graph with n vertices and m edges.
+
+    A port of networkx 3.6.1's `gnm_random_graph`: it makes the same draws
+    from rng, so it returns the same graph.
+    """
+    if m >= n * (n - 1) / 2:
+        return [set(range(n)) - {u} for u in range(n)]
+    adj = [set() for _ in range(n)]
+    nodes = range(n)
+    edges = 0
+    while edges < m:
+        u = rng.choice(nodes)
+        w = rng.choice(nodes)
+        if u != w and w not in adj[u]:
+            adj[u].add(w)
+            adj[w].add(u)
+            edges += 1
+    return adj
+
+
 def gen_random_regularish(n, davg, seed=0):
     """Random graph with average degree close to davg.
 
     Exactly regular when davg is an integer with n*davg even; otherwise a
-    uniform graph with round(n*davg/2) edges.
+    uniform graph with round(n*davg/2) edges. The graph before relabelling is
+    the one networkx 3.6.1's `random_regular_graph` or `gnm_random_graph`
+    draws for the same int seed.
     """
-    import networkx as nx
-
     if not 0 < davg < n:
         raise InfeasibleParameters("need 0 < davg < n")
+    rng = random.Random(seed)
     if float(davg).is_integer() and (n * int(davg)) % 2 == 0:
-        G = nx.random_regular_graph(int(davg), n, seed=seed)
+        adj = [[] for _ in range(n)]
+        for u, w in _regular_edges(int(davg), n, rng):
+            adj[u].append(w)
+            adj[w].append(u)
     else:
-        G = nx.gnm_random_graph(n, round(n * davg / 2), seed=seed)
-    rows = [sorted(G.adj[u]) for u in range(n)]
-    return _permute(rows, seed)[0]
+        adj = _gnm_adjacency(n, round(n * davg / 2), rng)
+    return _permute([sorted(row) for row in adj], seed)[0]
 
 
 def gen_connected(n, davg=2.0, seed=0):

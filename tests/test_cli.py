@@ -253,6 +253,29 @@ def test_vertex_count_that_cannot_be_held_exits_2(tmp_path):
     assert proc.stdout == ""
 
 
+# Generates a `regularish` graph and estimates on it in one fresh process,
+# then reports whether anything imported networkx. Code in `src` that needs
+# networkx imports it inside the function that uses it.
+_NO_NETWORKX_CHILD = """
+import sys
+from pegkit.cli import main
+peg = sys.argv[1]
+assert main(["gen", "--family", "regularish", "--n", "200", "--davg", "3", "--seed", "1", "--out", peg]) == 0
+assert main(["estimate", "--graph", peg, "--eps", "0.45", "--trials", "1", "--seed", "2"]) == 0
+print("networkx" in sys.modules)
+"""
+
+
+def test_gen_regularish_and_estimate_do_not_import_networkx(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pegkit.__file__).parent.parent), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NETWORKX_CHILD, str(tmp_path / "r.peg")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -440,8 +463,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
 # Fixed-seed runs whose exit code, stdout and output files must stay byte for
 # byte what they were when these digests were recorded. Each case first makes
 # the graphs in GOLDEN_GRAPHS, in a fresh directory. `estimate` is left out
-# because numpy does not promise its Generator streams across versions, and
-# `regularish` because it draws from networkx.
+# because numpy does not promise its Generator streams across versions.
 GOLDEN_GRAPHS = [
     ["gen", "--family", "far-forest", "--eps", "0.2", "--alpha", "0.05", "--n", "500",
      "--seed", "2", "--out", "f.peg"],
@@ -464,6 +486,10 @@ GOLDEN = {
                        "--n", "500", "--seed", "2", "--out", "x.peg", "--manifest", "x.json"],
     "gen-gminus": ["gen", "--family", "gminus", "--eps", "1/7", "--k", "4", "--seed", "7",
                    "--out", "x.peg", "--manifest", "x.json"],
+    "gen-regularish": ["gen", "--family", "regularish", "--n", "300", "--davg", "3", "--seed", "4",
+                       "--out", "x.peg", "--manifest", "x.json"],
+    "gen-regularish-gnm": ["gen", "--family", "regularish", "--n", "301", "--davg", "2.5",
+                           "--seed", "4", "--out", "x.peg", "--manifest", "x.json"],
     **{
         f"test-conn-{algo}-{fmt}": ["test-conn", "--algo", algo, *_CONN, "--format", fmt,
                                     "--alpha", "0" if algo == "no-erasure" else "0.05",
@@ -499,6 +525,8 @@ GOLDEN_SHA256 = {
     "gen-connected": "ac7d1131ec000da62d444f5732ec77bbfd37845b0f6b8db0a4397685ebb09379",
     "gen-far-forest": "d1496f23969840e0a7ae6db981f62f1a6a290c31a46aa39ad7b2a0caf885cae7",
     "gen-gminus": "354833ea2bbbc8f0a8358693f14d27a71d86abeccab65bc1021a074fc731a3a4",
+    "gen-regularish": "866d491c53e569e491e7858035a3f9e5b499e8fac8cff9f0caec3553933461a9",
+    "gen-regularish-gnm": "b4f2bfe99b6002bd25c5fd2bfdaada0ddd2846043d1ebf25cebe0e593c3a9679",
     "test-conn-accept-mid-alpha": "7e8a42e97b184860e4fe7be40b5ccfdb9b1f74de30f3b72ea1db3938326fd2d0",
     "test-conn-accept-no-erasure": "98fc0fa78d5caf107571b73712999a06ec90f5cb9c958ef96c2cbb306c294a64",
     "test-conn-accept-small-alpha": "4ddf4cad8d18d8cbeb2002cfd35e0e96213983bbc892793cc25010ada44be1e8",

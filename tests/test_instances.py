@@ -9,6 +9,7 @@ from pegkit.instances import (
     FamilySpec,
     InfeasibleParameters,
     _far_forest_shapes,
+    _permute,
     erase,
     gen_connected,
     gen_cycle_union,
@@ -210,3 +211,46 @@ def test_cycle_union_single_cycle_is_connected():
     g = gen_cycle_union(12, 12, seed=2)
     assert len(components(g)) == 1
     assert g.avg_degree == 2.0
+
+
+REGULARISH_GRID = [
+    (n, davg, seed)
+    for n in (10, 50, 101, 1200, 2000)
+    for davg in (1, 2, 3, 4, 5, 2.5, 3.7, 7)
+    for seed in (0, 1, 7, 123)
+]
+
+
+def _regular_branch(n, davg):
+    return float(davg).is_integer() and (n * int(davg)) % 2 == 0
+
+
+def test_regularish_draws_networkx_graphs():
+    nx = pytest.importorskip("networkx")
+    if nx.__version__ != "3.6.1":
+        pytest.skip("the port follows networkx 3.6.1's streams; networkx does not promise them across versions")
+    for n, davg, seed in REGULARISH_GRID:
+        if _regular_branch(n, davg):
+            G = nx.random_regular_graph(int(davg), n, seed=seed)
+        else:
+            G = nx.gnm_random_graph(n, round(n * davg / 2), seed=seed)
+        expected = _permute([sorted(G.adj[u]) for u in range(n)], seed)[0]
+        assert gen_random_regularish(n, davg, seed) == expected, (n, davg, seed)
+
+
+@pytest.mark.parametrize("n,davg", [(10, 7), (50, 3), (101, 4), (300, 2), (101, 3), (50, 2.5), (300, 3.7)])
+def test_regularish_is_simple_with_the_promised_degrees(n, davg):
+    for seed in range(3):
+        g = gen_random_regularish(n, davg, seed)
+        assert validate(g) == []  # among others: no self-loop, no repeated entry
+        if _regular_branch(n, davg):
+            assert {g.degree(u) for u in range(n)} == {davg}
+        else:
+            assert g.num_edges == round(n * davg / 2)
+
+
+@pytest.mark.parametrize("n,davg", [(5, 4), (6, 5.5), (7, 6.2)])
+def test_regularish_complete_graph(n, davg):
+    # 4-regular on 5 vertices, and more than n*(n-1)/2 requested edges
+    g = gen_random_regularish(n, davg, seed=3)
+    assert all(sorted(g.entries(u)) == [w for w in range(n) if w != u] for u in range(n))

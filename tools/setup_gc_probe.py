@@ -1,6 +1,7 @@
 """Where the benchmark's first full garbage collection fires among its set-ups.
 
     python3 tools/setup_gc_probe.py --workload estimate --seeds 1 5 9 17
+    python3 tools/setup_gc_probe.py --workload estimate far-reject --seeds 1 5
     python3 tools/setup_gc_probe.py --checkout ../other-tree --seeds 1 5
 
 `perfbench/run.py` times each of its three set-ups and reports their median
@@ -16,8 +17,14 @@ its collections the full one was. Every automatic collection starts when
 generation 0 fills, so the collections that follow the full one in its
 set-up are the margin: a change that allocates about that many
 generation-0 thresholds (700 container allocations each) fewer before it
-moves the full collection into the next set-up. It changes no file of the
-checkout; `run.main` makes and removes its work directory under
+moves the full collection into the next set-up. When no full collection
+fires during set-up, it prints the margin the other way: the generation-1
+collections counted since the last full one (`gc.get_count()[2]`) against
+its threshold (`gc.get_threshold()[2]`, 10 by default). A full collection
+can start once that count passes the threshold, and each generation-1
+collection takes eleven generation-0 ones, so at 8 of 10 about 3 x 11 x 700
+more container allocations bring it back into set-up. It changes no file of
+the checkout; `run.main` makes and removes its work directory under
 `perfbench/out/`.
 
 What the probe imports shifts the collection counts by a little, so compare
@@ -45,14 +52,16 @@ class _SetupsDone(Exception):
 def probe(checkout, workload, seed):
     """run.main's set-ups in this process: a record of ms and collections per
     set-up, the index of the set-up that ran the first full collection (-1
-    before set-up 1, None if none ran before the last one ended), and which
-    of that set-up's collections it was, counted from 1."""
+    before set-up 1, None if none ran before the last one ended), which of
+    that set-up's collections it was, counted from 1, and the collector's
+    generation-2 count and threshold once the last set-up ended."""
     spec = importlib.util.spec_from_file_location("run", checkout / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     records = []
     current = None
     first_full = []
+    margin = []
 
     def on_gc(phase, info):
         if phase != "start":
@@ -74,6 +83,7 @@ def probe(checkout, workload, seed):
         records.append(current)
         current = None
         if len(records) == run.SETUP_REPEATS:
+            margin.extend((gc.get_count()[2], gc.get_threshold()[2]))
             raise _SetupsDone
         return run_s
 
@@ -87,41 +97,49 @@ def probe(checkout, workload, seed):
     finally:
         gc.callbacks.remove(on_gc)
     where, at = first_full[0] if first_full else (None, None)
-    return {"setups": records, "first_full": where, "first_full_at": at}
+    return {"setups": records, "first_full": where, "first_full_at": at, "gen1_since_full": margin}
+
+
+def report(checkout, workload, seed):
+    """Run the probe for one seed in a fresh process and print its lines."""
+    # One process per seed: the collector's state is the whole process's.
+    out = subprocess.run(
+        [sys.executable, __file__, "--child", "--workload", workload,
+         "--seeds", str(seed), "--checkout", str(checkout)],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    first_full = result["first_full"]
+    if first_full == -1:
+        print(f"{workload} seed {seed}: first full collection before set-up 1")
+    for i, rec in enumerate(result["setups"]):
+        gen0, gen1, gen2 = rec["collections"]
+        where = ""
+        if first_full == i:
+            at, total = result["first_full_at"], gen0 + gen1 + gen2
+            where = f"  <- first full collection: its collection {at} of {total}, {total - at} after it"
+        print(f"{workload} seed {seed} set-up {i + 1}: {rec['ms']:6.1f} ms, "
+              f"collections gen0 {gen0} gen1 {gen1} gen2 {gen2}{where}")
+    if first_full is None:
+        count, threshold = result["gen1_since_full"]
+        print(f"{workload} seed {seed}: no full collection during set-up; "
+              f"{count} of {threshold} generation-1 collections since the last full one")
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--workload", default="estimate")
+    p.add_argument("--workload", nargs="+", default=["estimate"])
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 5, 9, 17])
     p.add_argument("--checkout", type=Path, default=ROOT, help="source tree whose perfbench/run.py runs")
     p.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     checkout = args.checkout.resolve()
     if args.child:
-        print(json.dumps(probe(checkout, args.workload, args.seeds[0])))
+        print(json.dumps(probe(checkout, args.workload[0], args.seeds[0])))
         return 0
-    for seed in args.seeds:
-        # One process per seed: the collector's state is the whole process's.
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", "--workload", args.workload,
-             "--seeds", str(seed), "--checkout", str(checkout)],
-            check=True, capture_output=True, text=True,
-        ).stdout
-        result = json.loads(out.strip().splitlines()[-1])
-        first_full = result["first_full"]
-        if first_full == -1:
-            print(f"{args.workload} seed {seed}: first full collection before set-up 1")
-        for i, rec in enumerate(result["setups"]):
-            gen0, gen1, gen2 = rec["collections"]
-            where = ""
-            if first_full == i:
-                at, total = result["first_full_at"], gen0 + gen1 + gen2
-                where = f"  <- first full collection: its collection {at} of {total}, {total - at} after it"
-            print(f"{args.workload} seed {seed} set-up {i + 1}: {rec['ms']:6.1f} ms, "
-                  f"collections gen0 {gen0} gen1 {gen1} gen2 {gen2}{where}")
-        if first_full is None:
-            print(f"{args.workload} seed {seed}: no full collection during set-up")
+    for workload in args.workload:
+        for seed in args.seeds:
+            report(checkout, workload, seed)
     return 0
 
 
