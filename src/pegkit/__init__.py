@@ -1,7 +1,7 @@
 """Sublinear algorithms on adjacency-list graphs with erased entries.
 
 - graph: the partially erased graph model, validation, PEG file format
-- oracle: query sessions with counting, budgets, seeds; filter oracle
+- oracle: query sessions with counting, budgets, seeds; the query-source protocol
 - connectedness: capped BFS, witness detection, the four testers
 - avg_degree: credit-sampling refinement and the doubling-search estimator
 - exact: brute-force completions, distances, inventories, expectations
@@ -10,14 +10,12 @@
 """
 
 from .graph import ERASED, PartiallyErasedGraph, load_peg, parse_peg, save_peg, validate
-from .oracle import BLANK, BudgetExhausted, FilterOracle, QuerySession, split_seed
+from .oracle import BudgetExhausted, QuerySession, split_seed
 
 __all__ = [
     "ERASED",
-    "BLANK",
     "PartiallyErasedGraph",
     "QuerySession",
-    "FilterOracle",
     "BudgetExhausted",
     "split_seed",
     "load_peg",

@@ -102,10 +102,6 @@ class DegreeEstimatorConfig:
     seed: int = 0
     sample_coeff: float = SAMPLE_COEFF
 
-    @property
-    def conforming(self):
-        return is_conforming(self.sample_coeff)
-
 
 @dataclass
 class DegreeEstimate:
@@ -115,7 +111,6 @@ class DegreeEstimate:
     neighbor_queries: int
     crude: "float | None" = None
     iteration: "int | None" = None
-    conforming: bool = True
 
 
 def sample_count(n, cfg):
@@ -134,7 +129,7 @@ def credit_counts(g):
     and `d_plus`.
     """
     n = g.num_vertices
-    degrees, _, flat = g.flat_adjacency()
+    degrees, flat = g.flat_adjacency()
     owner = np.repeat(np.arange(n), degrees)
     erased = flat == -1
     du = degrees[owner]
@@ -240,10 +235,11 @@ def refine_estimate(g, cfg, reps=1, session=None):
     One seeded numpy generator draws a `reps`-row multinomial over
     `credit_outcomes`, so each row has exactly the joint distribution of
     per-slot draws. A row's value is twice its mean credit, computed in
-    float64. The query totals are exact over all rows and charged in bulk to
-    `session`, or to a fresh one: one degree query per sample, one neighbor
-    query per non-isolated sample, one extra degree query per non-erased
-    drawn entry. The estimate counts the samples and queries of this call.
+    float64. The query totals are exact over all rows: one degree query per
+    sample, one neighbor query per non-isolated sample, one extra degree
+    query per non-erased drawn entry. They are charged in bulk to `session`
+    when one is given; the estimate counts the samples and queries of this
+    call either way.
     """
     n = g.num_vertices
     # A missing crude value reaches the check as 0 and is rejected there.
@@ -255,13 +251,12 @@ def refine_estimate(g, cfg, reps=1, session=None):
     isolated = sum(drawn[:, 0].tolist())
     degree = 2 * s * reps - isolated - sum(drawn.dot(erased).tolist())
     neighbor = s * reps - isolated
-    if session is None:
-        session = QuerySession(g, seed=cfg.seed)
-    session.charge_bulk(degree=degree, neighbor=neighbor)
+    if session is not None:
+        session.charge_bulk(degree=degree, neighbor=neighbor)
     rows = sorted((2.0 * (drawn * value).sum(axis=1) / s).tolist())
     return DegreeEstimate(
         value=rows[(reps - 1) // 2], samples=s * reps, degree_queries=degree,
-        neighbor_queries=neighbor, crude=cfg.crude, conforming=cfg.conforming,
+        neighbor_queries=neighbor, crude=cfg.crude,
     )
 
 
@@ -295,5 +290,4 @@ def estimate_avg_degree(g, epsilon, seed=0, sample_coeff=SAMPLE_COEFF, rep_coeff
         neighbor_queries=session.neighbor_queries,
         crude=crude,
         iteration=level,
-        conforming=is_conforming(sample_coeff, rep_coeff),
     )

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 self-check violation, 2 usage or infeasible input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -139,15 +140,13 @@ def cmd_gen(args):
     for key in ("eps", "alpha", "davg"):
         val = getattr(args, key, None)
         if val is not None:
-            params[key] = _ratio(val)
+            params[key] = _real(val) if key == "davg" else _ratio(val)
     for key in ("k", "n", "host_size", "cycle_len"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
     if args.strategy:
         params["strategy"] = args.strategy
-    if "davg" in params:
-        params["davg"] = _real(args.davg)
     spec = instances.FamilySpec(args.family, params, args.seed)
     try:
         g, manifest = instances.generate(spec)
@@ -457,13 +456,17 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; any ValueError or OSError becomes one `error:` line and exit 2."""
+    """Run one command; a ValueError, OSError or ArithmeticError becomes one `error:` line, exit 2."""
     args = build_parser().parse_args(argv)
+    notes = io.StringIO()  # warnings wait for the command's end, and an error drops them
     try:
-        return args.func(args)
-    except (OSError, ValueError) as exc:
+        with contextlib.redirect_stderr(notes):
+            code = args.func(args)
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stderr.write(notes.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -128,7 +128,7 @@ class PartiallyErasedGraph:
         return Fraction(self._erased_total, total)
 
     def flat_adjacency(self):
-        """(degrees, offsets, entries) int64 numpy arrays with -1 marking erasures.
+        """(degrees, entries) int64 numpy arrays with -1 marking erasures.
 
         Built on each call; the estimator's credit-class table, which is
         derived from them, is the part kept with the graph. The entries go
@@ -138,13 +138,11 @@ class PartiallyErasedGraph:
         and an int never compares equal to the mark.
         """
         degrees = np.fromiter(map(len, self._adj), dtype=np.int64, count=self._n)
-        offsets = np.zeros(self._n, dtype=np.int64)
-        np.cumsum(degrees[:-1], out=offsets[1:])
         entries = chain.from_iterable(self._adj)
         if self._erased_total:
             flat = list(entries)
             entries = map({ERASED: -1}.get, flat, flat)
-        return degrees, offsets, np.fromiter(entries, dtype=np.int64, count=self._entries)
+        return degrees, np.fromiter(entries, dtype=np.int64, count=self._entries)
 
     def cached(self, build):
         """build(self), computed on first use and kept with the graph.
@@ -313,12 +311,6 @@ def closure(start, links):
 MAX_VERTICES = 2**31 - 1
 
 _NUMBER = re.compile(r"0|[1-9][0-9]*")
-# int() also reads signs, underscores, leading zeros and non-ASCII digits. A
-# text made only of the characters below, with no space-led zero before a
-# digit, can leave every number token to int(); two whole-text scans cost far
-# less than a check per token.
-_PLAIN_CHARS = b"0123456789 *\r\npegvn"
-_LEADING_ZERO = re.compile(r" 0[0-9]")
 
 # The serializer's layout: its header, the characters of its `v` lines, and
 # 10, 100, ..., 10**18, where a number's rank is its digit count less one.
@@ -441,21 +433,14 @@ def _parse_layout(text):
 
 def _parse_lines(text):
     """The reference parser: lines split on any whitespace, blank lines skipped."""
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["peg", "1"]:
         raise ValueError("missing 'peg 1' header")
     if len(lines) < 2 or lines[1].split()[0] != "n":
         raise ValueError("missing 'n <count>' line")
-    plain = (
-        text.isascii()
-        and not text.encode().translate(None, _PLAIN_CHARS)
-        and not _LEADING_ZERO.search(text)
-    )
-    number = int if plain else _number
     try:
         _, count = lines[1].split()
-        n = number(count)
+        n = _number(count)
     except ValueError as exc:
         raise ValueError("bad vertex count line") from exc
     rows = _vertex_table(n)
@@ -465,7 +450,7 @@ def _parse_lines(text):
         if parts[0] != "v" or len(parts) < 2:
             raise ValueError(f"line {lineno}: expected 'v <id> ...'")
         try:
-            u = number(parts[1])
+            u = _number(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad vertex id {parts[1]!r}") from exc
         if not 0 <= u < n:
@@ -479,10 +464,10 @@ def _parse_lines(text):
                 row.append(ERASED)
             else:
                 try:
-                    e = number(tok)
+                    e = _number(tok)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: bad entry {tok!r}") from exc
-                if e >= n:  # number() never returns a negative
+                if e >= n:  # _number() never returns a negative
                     raise ValueError(f"line {lineno}: entry {e} outside [0, {n})")
                 row.append(e)
         rows[u] = row

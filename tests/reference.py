@@ -3,8 +3,9 @@
 Nothing in the package or the command line runs these. They are the slow,
 direct versions of what the package computes in bulk or reads another way:
 the scalar credit sample, graphs rebuilt from completions, the small/big
-classification, the quality functions, when a capped search closes, and the
-exact rejection probability of a tester's plan.
+classification, the quality functions, when a capped search closes, the
+exact rejection probability of a tester's plan, and the filter oracle, a
+query source that answers for the subgraph of mutual edges.
 """
 
 from fractions import Fraction
@@ -159,3 +160,93 @@ def rejection_probability(g, plan):
         detected = sum(1 for d, C in starts if closes(plan.stop(i, d), len(C), entries[C]))
         accept *= (1 - detected / g.num_vertices) ** reps
     return 1.0 - accept
+
+
+# --- the filter oracle ------------------------------------------------------------
+
+
+class _BlankMark:
+    """Padding symbol used by the filter oracle for bounded-degree lists."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "-"
+
+
+BLANK = _BlankMark()
+
+
+class FilterOracle:
+    """Answers queries about the subgraph of mutual (nonerased) edges.
+
+    Works for graphs of maximum degree at most `degree_bound` (D). Each
+    reconstructed list keeps exactly the nonerased edges incident to its
+    vertex, in raw slot order, padded with BLANK to length D. Reconstruction
+    fetches raw lists through the session (all fetches cached), so a cache
+    miss charges at most D*(D+1) neighbor queries plus at most D+1 degree
+    queries; cached lists charge nothing.
+
+    It has `num_vertices`, `degree` and `neighbor`, so it is a query source:
+    a tester's own session over it counts the filtered queries, while the
+    wrapped session counts the raw ones.
+    """
+
+    def __init__(self, session, degree_bound):
+        if degree_bound < 1:
+            raise ValueError("degree bound must be at least 1")
+        self.session = session
+        self.degree_bound = degree_bound
+        self._raw = {}
+        self._filtered = {}
+        self.miss_charges = []
+
+    @property
+    def num_vertices(self):
+        return self.session.graph.num_vertices
+
+    def _fetch_raw(self, u):
+        row = self._raw.get(u)
+        if row is None:
+            d = self.session.degree(u)
+            if d > self.degree_bound:
+                raise ValueError(f"degree {d} of vertex {u} exceeds bound {self.degree_bound}")
+            row = tuple(self.session.neighbor(u, i) for i in range(1, d + 1))
+            self._raw[u] = row
+        return row
+
+    def _reconstruct(self, u):
+        lst = self._filtered.get(u)
+        if lst is None:
+            d0, n0 = self.session.degree_queries, self.session.neighbor_queries
+            kept = []
+            for w in self._fetch_raw(u):
+                if w is ERASED:
+                    continue
+                if u in self._fetch_raw(w):
+                    kept.append(w)
+            lst = tuple(kept)
+            self._filtered[u] = lst
+            self.miss_charges.append(
+                (u, self.session.degree_queries - d0, self.session.neighbor_queries - n0)
+            )
+        return lst
+
+    def degree(self, u):
+        """Degree of u in the nonerased subgraph."""
+        return len(self._reconstruct(u))
+
+    def neighbor(self, u, i):
+        """i-th entry of u's reconstructed list, BLANK beyond its degree.
+
+        Valid indices are 1..D, matching a fixed-width bounded-degree layout.
+        """
+        if not 1 <= i <= self.degree_bound:
+            raise IndexError(f"slot {i} outside [1, {self.degree_bound}]")
+        lst = self._reconstruct(u)
+        return lst[i - 1] if i <= len(lst) else BLANK

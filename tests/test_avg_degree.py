@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import statistics
@@ -21,6 +22,7 @@ from pegkit.avg_degree import (
     credit_outcomes,
     d_plus,
     estimate_avg_degree,
+    is_conforming,
     precedes,
     refine_estimate,
     sample_count,
@@ -186,12 +188,10 @@ def reference_flat_adjacency(g):
     n = g.num_vertices
     rows = [g.entries(u) for u in range(n)]
     degrees = np.fromiter((len(row) for row in rows), dtype=np.int64, count=n)
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(degrees[:-1], out=offsets[1:])
     flat = np.fromiter(
         (-1 if e is ERASED else e for row in rows for e in row), dtype=np.int64, count=int(degrees.sum())
     )
-    return degrees, offsets, flat
+    return degrees, flat
 
 
 def reference_outcomes(g, tau):
@@ -471,11 +471,11 @@ def test_refine_validates_config():
 
 
 def test_conforming_flag():
-    cfg = DegreeEstimatorConfig(epsilon=0.25, crude=1.0)
-    assert cfg.conforming
-    cfg = DegreeEstimatorConfig(epsilon=0.25, crude=1.0, sample_coeff=5.0)
-    assert not cfg.conforming
-    assert estimate_avg_degree(single_edge(), 0.25).conforming is True
+    assert is_conforming(DegreeEstimatorConfig(epsilon=0.25, crude=1.0).sample_coeff)
+    assert not is_conforming(DegreeEstimatorConfig(epsilon=0.25, crude=1.0, sample_coeff=5.0).sample_coeff)
+    # estimate_avg_degree's own defaults are the conforming coefficients
+    defaults = inspect.signature(estimate_avg_degree).parameters
+    assert is_conforming(defaults["sample_coeff"].default, defaults["rep_coeff"].default) is True
 
 
 # --- the doubling-search driver ----------------------------------------------

@@ -402,6 +402,22 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
         (["bench", "--algo", "mid-alpha", "--sweep", "alpha=-1e400"], "out of the float range: '-1e400'"),
         (["estimate", "--eps", "1e400"], "out of the float range: '1e400'"),
         (["gen", "--family", "connected", "--n", "10", "--davg", "1e400"], "out of the float range: '1e400'"),
+        # A plan's arithmetic leaves the float range: eps * davg underflows to
+        # 0, or a subnormal value makes a schedule size infinite.
+        (["test-conn", "--algo", "small-alpha", "--eps", "1e-300", "--davg", "1e-300"],
+         "float division by zero"),
+        (["test-conn", "--algo", "mid-alpha", "--eps", "0.2", "--davg", "1e-320"],
+         "cannot convert float infinity to integer"),
+        (["test-conn", "--algo", "no-erasure", "--eps", "1e-320"], "cannot convert float infinity to integer"),
+        (["test-conn", "--algo", "unknown-davg", "--eps", "1e-320"],
+         "cannot convert float infinity to integer"),
+        (["estimate", "--eps", "0.25", "--rep-coeff", "1e308"], "cannot convert float infinity to integer"),
+        # The davg-mismatch warning is dropped when the command then fails,
+        # also when an earlier sweep value already ran.
+        (["test-conn", "--algo", "mid-alpha", "--eps", "0.5", "--davg", "5"],
+         "epsilon must lie in (0, 2/davg) = (0, 0.4)"),
+        (["bench", "--algo", "mid-alpha", "--sweep", "eps=0.2,abc", "--davg", "5"],
+         "not a rational number: 'abc'"),
     ],
 )
 def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):
@@ -415,6 +431,16 @@ def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):
     assert err == f"error: {message}\n"
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.xfail(raises=MemoryError, strict=True, reason="the row count of a refinement level has no limit")
+def test_estimate_refuses_a_repetition_count_that_cannot_be_held(tmp_path, capsys):
+    # t = ceil(rep_coeff * ln(4 log2 n)) rows of a multinomial draw; at 1e12
+    # numpy refuses to allocate them (about 100 TiB) and raises MemoryError.
+    peg = tmp_path / "gm.peg"
+    save_peg(gen_gminus("1/7", 4, seed=7), str(peg))
+    code, stdout, err = run(capsys, "estimate", "--graph", str(peg), "--eps", "0.25", "--rep-coeff", "1e12")
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_erase_unknown_strategy_exits_2(tmp_path, capsys):

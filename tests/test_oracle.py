@@ -1,10 +1,14 @@
 import io
+import time
 
 import pytest
 
+from pegkit.connectedness import mid_alpha_plan, no_erasure_plan, run_plan, small_alpha_plan
 from pegkit.graph import ERASED, PartiallyErasedGraph
-from pegkit.instances import erase, gen_connected, gen_random_regularish
-from pegkit.oracle import BLANK, BudgetExhausted, FilterOracle, QuerySession, split_seed
+from pegkit.instances import erase, gen_connected, gen_far_forest, gen_random_regularish
+from pegkit.oracle import BudgetExhausted, QuerySession, split_seed
+
+from reference import BLANK, FilterOracle
 
 
 def path3():
@@ -97,7 +101,7 @@ def test_trace_format():
     assert buf.getvalue() == "D 0\nN 0 1 -> 1\nN 0 2 -> *\n"
 
 
-# --- filter oracle ---------------------------------------------------------
+# --- filter oracle (tests/reference.py) -------------------------------------
 
 
 def test_filter_oracle_identity_without_erasures():
@@ -151,3 +155,108 @@ def test_filter_oracle_rejects_degree_above_bound():
     f = FilterOracle(QuerySession(g, seed=0), degree_bound=2)
     with pytest.raises(ValueError):
         f.degree(0)
+
+
+# --- query sources -----------------------------------------------------------
+#
+# A tester reads its graph only through `num_vertices`, `degree(u)` and
+# `neighbor(u, i)`, so any object that answers these runs under `run_plan`.
+
+
+def mutual_edge_graph(g):
+    """The subgraph of g's mutual edges, each list kept in g's slot order."""
+    return PartiallyErasedGraph(
+        [[w for w in g.entries(u) if w is not ERASED and u in g.listed(w)] for u in range(g.num_vertices)]
+    )
+
+
+def test_a_tester_on_the_filter_oracle_runs_as_on_the_mutual_edge_graph():
+    plan = no_erasure_plan(0.2, 3.0)
+    verdicts = []
+    for gi in range(30):
+        g = erase(gen_random_regularish(200, 3, seed=gi), 0.05, "uniform", seed=gi + 100)
+        bound = max(map(g.degree, range(g.num_vertices)))
+        h = mutual_edge_graph(g)
+        for seed in range(5):
+            raw = QuerySession(g)
+            filtered = run_plan(FilterOracle(raw, bound), plan, seed)
+            assert filtered == run_plan(h, plan, seed)
+            # the wrapped session pays the raw queries behind the filtered ones
+            assert raw.neighbor_queries >= filtered.neighbor_queries
+            verdicts.append(filtered.rejected)
+    # the erasures split some graphs, so both verdicts occur
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+class OnlineErasures:
+    """A query source whose entries are erased while it is queried.
+
+    The online-erasure model of Kalemaj, Raskhodnikova and Varma (ITCS 2022),
+    with t = 1: after each query to u, an adversary erases the lowest slot of
+    u that no neighbor query has read yet, if it is not erased already. A
+    search that reads a list in slot order so finds every entry erased.
+    """
+
+    def __init__(self, g):
+        self.g = g
+        self.num_vertices = g.num_vertices
+        self.read = {}
+        self.erased = {}
+        self.erasures = 0
+
+    def _erase_next(self, u):
+        read = self.read.get(u, ())
+        erased = self.erased.setdefault(u, set())
+        for i in range(1, self.g.degree(u) + 1):
+            if i not in read:
+                if i not in erased:
+                    erased.add(i)
+                    self.erasures += 1
+                return
+
+    def degree(self, u):
+        d = self.g.degree(u)
+        self._erase_next(u)
+        return d
+
+    def neighbor(self, u, i):
+        e = ERASED if i in self.erased.get(u, ()) else self.g.neighbor(u, i)
+        self.read.setdefault(u, set()).add(i)
+        self._erase_next(u)
+        return e
+
+
+def known_davg_plans(g, eps=0.2):
+    davg = g.avg_degree
+    return {
+        "no-erasure": no_erasure_plan(eps, davg),
+        "small-alpha": small_alpha_plan(eps, 0.0, davg),
+        "mid-alpha": mid_alpha_plan(eps, 0.0, davg),
+    }
+
+
+def test_online_erasures_take_the_testers_power_away():
+    t0 = time.perf_counter()
+    trials = 200
+    g = gen_far_forest(0.2, 0, 2000, seed=3)
+    for name, plan in known_davg_plans(g).items():
+        offline = sum(run_plan(g, plan, seed).rejected for seed in range(trials))
+        online = erasures = 0
+        for seed in range(trials):
+            source = OnlineErasures(g)
+            online += run_plan(source, plan, seed).rejected
+            erasures += source.erasures
+        assert (offline, online) == (trials, 0), name
+        assert erasures >= trials, name
+    # Isolated vertices have no slot to erase: they are the only witnesses left.
+    h = PartiallyErasedGraph([g.entries(u) for u in range(g.num_vertices)] + [()] * 100)
+    for name, plan in known_davg_plans(h).items():
+        online = 0
+        for seed in range(trials):
+            verdict = run_plan(OnlineErasures(h), plan, seed)
+            if verdict.rejected:
+                (v,) = verdict.witness.vertices
+                assert h.degree(v) == 0, name
+                online += 1
+        assert 0 < online < trials, name
+    assert time.perf_counter() - t0 < 1.0
