@@ -37,6 +37,9 @@ DELTA = 0.25
 _THRESHOLD_RTOL = 1e-12
 # numpy's multinomial needs the sample count in an int64.
 _MAX_SAMPLES = np.iinfo(np.int64).max
+# Refinements per level: the analyzed count is at most 58 for n <= 2^31, and
+# each one is a row of the level's multinomial draw.
+_MAX_REPS = 2**16
 
 def precedes(g, u, v):
     """Strict total vertex order: degree first, id as tie-break."""
@@ -58,11 +61,13 @@ def check_parameters(n, epsilon, crude=None, sample_coeff=SAMPLE_COEFF, rep_coef
 
     Every estimator parameter rule is written here once. `crude` is one
     refinement's crude estimate; without it the parameters are checked for a
-    whole `estimate_avg_degree` search, which needs two vertices and whose
-    last crude value n/2^ceil(log2 n) is its smallest, so that level's
-    refinements draw the most samples.
+    whole `estimate_avg_degree` search, which needs two vertices, runs at
+    most _MAX_REPS refinements per level, and whose last crude value
+    n/2^ceil(log2 n) is its smallest, so that level's refinements draw the
+    most samples.
     """
-    if crude is None:
+    search = crude is None
+    if search:
         if n < 2:
             raise ValueError("estimation needs at least two vertices")
         crude = n / 2 ** math.ceil(math.log2(n))
@@ -73,8 +78,12 @@ def check_parameters(n, epsilon, crude=None, sample_coeff=SAMPLE_COEFF, rep_coef
     for name, value in {"sample_coeff": sample_coeff, "rep_coeff": rep_coeff}.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite number, got {value}")
+    if search and rep_coeff * math.log(4 * math.log2(n)) > _MAX_REPS:
+        raise ValueError(
+            f"rep_coeff {rep_coeff} is too large: a level would run more than {_MAX_REPS} refinements"
+        )
     try:
-        s = sample_count(n, DegreeEstimatorConfig(epsilon, crude, sample_coeff=sample_coeff))
+        s = sample_count(n, epsilon, crude, sample_coeff)
     except (ZeroDivisionError, OverflowError):
         # eps^5 * crude underflowed to 0, or the count to infinity.
         raise ValueError(
@@ -96,14 +105,6 @@ def is_conforming(sample_coeff=SAMPLE_COEFF, rep_coeff=REP_COEFF):
 
 
 @dataclass
-class DegreeEstimatorConfig:
-    epsilon: float
-    crude: "float | None" = None
-    seed: int = 0
-    sample_coeff: float = SAMPLE_COEFF
-
-
-@dataclass
 class DegreeEstimate:
     value: float
     samples: int
@@ -113,11 +114,9 @@ class DegreeEstimate:
     iteration: "int | None" = None
 
 
-def sample_count(n, cfg):
-    """ceil(coeff * ln(2/DELTA) * sqrt(n / (eps^5 * crude)))."""
-    return math.ceil(
-        cfg.sample_coeff * math.log(2 / DELTA) * math.sqrt(n / (cfg.epsilon**5 * cfg.crude))
-    )
+def sample_count(n, epsilon, crude, sample_coeff):
+    """ceil(sample_coeff * ln(2/DELTA) * sqrt(n / (eps^5 * crude)))."""
+    return math.ceil(sample_coeff * math.log(2 / DELTA) * math.sqrt(n / (epsilon**5 * crude)))
 
 
 def credit_counts(g):
@@ -229,8 +228,8 @@ def _outcome_law(g, stop):
     return law
 
 
-def refine_estimate(g, cfg, reps=1, session=None):
-    """Sharpen a crude estimate: the lower median of `reps` refinements at cfg.crude.
+def refine_estimate(g, epsilon, crude, seed=0, reps=1, sample_coeff=SAMPLE_COEFF, session=None):
+    """Sharpen a crude estimate: the lower median of `reps` refinements at `crude`.
 
     One seeded numpy generator draws a `reps`-row multinomial over
     `credit_outcomes`, so each row has exactly the joint distribution of
@@ -243,10 +242,10 @@ def refine_estimate(g, cfg, reps=1, session=None):
     """
     n = g.num_vertices
     # A missing crude value reaches the check as 0 and is rejected there.
-    check_parameters(n, cfg.epsilon, cfg.crude or 0.0, cfg.sample_coeff)
-    s = sample_count(n, cfg)
-    p, value, erased = credit_outcomes(g, chi_threshold(n, cfg.crude, cfg.epsilon))
-    drawn = np.random.default_rng(cfg.seed & (2**64 - 1)).multinomial(s, p, size=reps)
+    check_parameters(n, epsilon, crude or 0.0, sample_coeff)
+    s = sample_count(n, epsilon, crude, sample_coeff)
+    p, value, erased = credit_outcomes(g, chi_threshold(n, crude, epsilon))
+    drawn = np.random.default_rng(seed & (2**64 - 1)).multinomial(s, p, size=reps)
     # A row sums to s, so it fits an int64; totals over rows are Python ints.
     isolated = sum(drawn[:, 0].tolist())
     degree = 2 * s * reps - isolated - sum(drawn.dot(erased).tolist())
@@ -256,7 +255,7 @@ def refine_estimate(g, cfg, reps=1, session=None):
     rows = sorted((2.0 * (drawn * value).sum(axis=1) / s).tolist())
     return DegreeEstimate(
         value=rows[(reps - 1) // 2], samples=s * reps, degree_queries=degree,
-        neighbor_queries=neighbor, crude=cfg.crude,
+        neighbor_queries=neighbor, crude=crude,
     )
 
 
@@ -277,8 +276,7 @@ def estimate_avg_degree(g, epsilon, seed=0, sample_coeff=SAMPLE_COEFF, rep_coeff
     value, crude, level = 1.0, None, None
     for i in range(math.ceil(math.log2(n)) + 1):
         level_crude = n / 2**i
-        cfg = DegreeEstimatorConfig(epsilon, level_crude, split_seed(seed, i), sample_coeff)
-        est = refine_estimate(g, cfg, t, session)
+        est = refine_estimate(g, epsilon, level_crude, split_seed(seed, i), t, sample_coeff, session)
         samples += est.samples
         if est.value > level_crude:
             value, crude, level = est.value, level_crude, i

@@ -39,27 +39,23 @@ TRIAL_COLUMNS = [
 ]
 
 
-class UsageError(ValueError):
-    """A malformed argument or graph file; `main` reports it like any ValueError."""
-
-
 def _ratio(text):
-    """Parse a rational given as 'p/q' or a decimal string; UsageError if malformed."""
+    """Parse a rational given as 'p/q' or a decimal string; ValueError if malformed."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"not a rational number: {text!r}") from None
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def _real(text):
-    """`_ratio` as a float; UsageError if it lies past the float range."""
+    """`_ratio` as a float; ValueError if it lies past the float range."""
     try:
         return float(_ratio(text))
     except OverflowError:
-        raise UsageError(f"out of the float range: {text!r}") from None
+        raise ValueError(f"out of the float range: {text!r}") from None
 
 
 def _write_rows(path, rows, fmt, summary=None, plan=None, columns=TRIAL_COLUMNS):
@@ -97,7 +93,7 @@ def _load_graph(args):
     try:
         return load_peg(args.graph)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read graph: {exc}") from exc
+        raise ValueError(f"cannot read graph: {exc}") from exc
 
 
 def _resolve_davg(args, g):
@@ -105,7 +101,7 @@ def _resolve_davg(args, g):
         return g.avg_degree
     davg = _real(args.davg)
     if not davg > 0:
-        raise UsageError(f"--davg must be positive, got {args.davg}")
+        raise ValueError(f"--davg must be positive, got {args.davg}")
     if abs(davg - g.avg_degree) > 1e-9:
         print(
             f"warning: supplied davg {davg} differs from the graph's {g.avg_degree}; "
@@ -147,9 +143,8 @@ def cmd_gen(args):
             params[key] = val
     if args.strategy:
         params["strategy"] = args.strategy
-    spec = instances.FamilySpec(args.family, params, args.seed)
     try:
-        g, manifest = instances.generate(spec)
+        g, manifest = instances.generate(args.family, params, args.seed)
     except instances.InfeasibleParameters as exc:
         print(f"error: infeasible parameters: {exc}", file=sys.stderr)
         return 2
@@ -189,7 +184,7 @@ def _run_trials(master_seed, trials, timings, run):
     timings, wall_ms times the run(seed) call alone.
     """
     if trials < 0:
-        raise UsageError(f"--trials must be a non-negative count, got {trials}")
+        raise ValueError(f"--trials must be a non-negative count, got {trials}")
     rows = []
     for trial in range(trials):
         seed = split_seed(master_seed, trial)
@@ -304,40 +299,32 @@ def cmd_exact(args):
         print(f"{d.numerator}/{d.denominator}")
         return 0
     if args.what == "witnesses":
-        inv = exact.inventory_witnesses(g)
-        out = {
-            "plain": [sorted(c) for c in inv.plain],
-            "generalized": [
-                {"vertices": sorted(c), "anchors": sorted(a)} for c, a in inv.generalized
-            ],
-        }
-        print(json.dumps(out, indent=2))
+        print(json.dumps(exact.witnesses_dict(exact.inventory_witnesses(g)), indent=2))
         return 0
     if args.what == "exp-chi":
         if args.dhat is None or args.eps is None:
-            raise UsageError("exp-chi needs --dhat and --eps")
+            raise ValueError("exp-chi needs --dhat and --eps")
         value = exact.exact_exp_chi(g, _ratio(args.dhat), _ratio(args.eps))
         print(f"{value.numerator}/{value.denominator}")
         return 0
     if (args.dhat is None) != (args.eps is None):
-        raise UsageError("report needs both --dhat and --eps, or neither")
+        raise ValueError("report needs both --dhat and --eps, or neither")
     dhat = eps = None
     if args.dhat is not None:
         dhat, eps = _ratio(args.dhat), _ratio(args.eps)
-    report = exact.exact_report(g, dhat, eps, slot_bound=args.slot_bound)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(exact.exact_report(g, dhat, eps, slot_bound=args.slot_bound), indent=2))
     return 0
 
 
 def cmd_bench(args):
     param, _, values = args.sweep.partition("=")
     if param not in ("eps", "alpha", "n") or not values:
-        raise UsageError("--sweep must look like eps=0.1,0.2")
+        raise ValueError("--sweep must look like eps=0.1,0.2")
     # An n sweep runs on fresh far forests and never reads --graph.
     g = None
     if param != "n":
         if args.graph is None:
-            raise UsageError(f"--sweep {param}=... needs --graph")
+            raise ValueError(f"--sweep {param}=... needs --graph")
         g = _load_graph(args)
     rows = []
     for value in values.split(","):
@@ -349,7 +336,7 @@ def cmd_bench(args):
         elif param == "alpha":
             alpha = _real(value)
         elif not value.isascii() or not value.isdigit():
-            raise UsageError(f"not a vertex count: {value!r}")
+            raise ValueError(f"not a vertex count: {value!r}")
         else:
             sweep_g = instances.gen_far_forest(eps, alpha, int(value), seed=args.seed)
         for r in _run_conn_trials(args, sweep_g, eps, alpha, _resolve_davg(args, sweep_g)):

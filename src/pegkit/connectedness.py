@@ -23,6 +23,7 @@ completion disconnected.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 import sys
@@ -68,7 +69,6 @@ class BfsOutcome:
     entries_scanned: int = 0
     erasures_seen: int = 0
     closed: bool = False
-    truncated: bool = False
     budget_hit: bool = False
 
 
@@ -93,8 +93,8 @@ def bfs_until(session, start, stop, halt_on_erasure=False, start_degree=None):
     query, so an EdgeCap also caps the neighbor queries the search charges;
     VertexCap stops the moment the limit-th distinct vertex is discovered.
     With halt_on_erasure the search stops at the first erased entry. A
-    budget-exhausted session shows up as a truncated outcome with budget_hit
-    set.
+    budget-exhausted session shows up as an outcome that did not close, with
+    budget_hit set.
 
     start_degree lets the caller pass a degree it already paid a query for.
     """
@@ -149,7 +149,7 @@ def bfs_until(session, start, stop, halt_on_erasure=False, start_degree=None):
         scanned = sum(map(len, lists.values()))
     return BfsOutcome(
         session.graph.num_vertices, explored, lists, scanned, erasures,
-        not truncated, truncated, budget_hit,
+        not truncated, budget_hit,
     )
 
 
@@ -223,6 +223,28 @@ class TesterVerdict:
 _memo = functools.lru_cache(maxsize=1024)
 
 
+def _plan_builder(build):
+    """Memoise a plan builder.
+
+    Parameters whose schedule is not finite (eps * davg underflows to 0, or
+    a bound or a count overflows) raise a ValueError that names them, as
+    `build`'s signature does.
+    """
+    signature = inspect.signature(build)
+
+    @_memo
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ArithmeticError:
+            given = signature.bind(*args, **kwargs).arguments.items()
+            named = ", ".join(f"{name} {value}" for name, value in given)
+            raise ValueError(f"{named}: the tester's schedule is not finite") from None
+
+    return checked
+
+
 @dataclass(frozen=True)
 class TesterPlan:
     """A tester's work-investment schedule, as `run_plan` runs it.
@@ -261,7 +283,7 @@ def _level_vertex_cap(i, d):
     return VertexCap(2**i + 1)
 
 
-@_memo
+@_plan_builder
 def small_alpha_plan(epsilon, alpha, davg):
     """The small-alpha tester's plan, once its parameters pass their check.
 
@@ -287,7 +309,7 @@ def small_alpha_query_cap(epsilon, alpha, davg):
     return small_alpha_plan(epsilon, alpha, davg).budget
 
 
-@_memo
+@_plan_builder
 def mid_alpha_plan(epsilon, alpha, davg):
     """The mid-alpha tester's plan, once its parameters pass their check.
 
@@ -302,7 +324,7 @@ def mid_alpha_plan(epsilon, alpha, davg):
     return TesterPlan(((1, math.ceil(b * LN3)),), lambda i, d: cap, generalized=True)
 
 
-@_memo
+@_plan_builder
 def no_erasure_plan(epsilon, davg):
     """The no-erasure tester's plan, once its parameters pass their check.
 
@@ -331,7 +353,7 @@ class _DoublingLevels:
                 yield i, math.ceil(2 ** max(t - i - 1, 0) * LN6)
 
 
-@_memo
+@_plan_builder
 def unknown_davg_plan(epsilon, alpha):
     """The unknown-davg tester's plan, once its parameters pass their check.
 

@@ -193,8 +193,8 @@ def _components(g):
     return tuple(comps)
 
 
-def min_completion_components(g, completions):
-    """Fewest connected components over `completions`, an iterable of pair tuples.
+def min_completion_components(g, first):
+    """Fewest connected components over g's completions, given `first`, any one of them.
 
     A forced fill repeats a link g already lists, so a completed graph's
     components are those of g merged along the completion's free-slot pairs.
@@ -203,12 +203,8 @@ def min_completion_components(g, completions):
     - 1). Some completion always attains this bound: were the best one
     short, a pair that merged nothing and a pair in another merged group
     could swap partners and join the two groups. Every completion pairs the
-    same free slots, so the first completion gives both numbers, and no
-    other is read. Raises Uncompletable when `completions` is empty.
+    same free slots, so any one completion gives both numbers.
     """
-    first = next(iter(completions), None)
-    if first is None:
-        raise Uncompletable("graph has no completion")
     comps = components(g)
     label = {v: i for i, comp in enumerate(comps) for v in comp}
     open_comps = len({label[v] for pair in first for v in pair})
@@ -228,9 +224,12 @@ def distance_to_connectedness(g, slot_bound=20):
     Completions are searched lazily, and the search ends at the first one:
     it fixes the merge bound, which some completion attains (see
     `min_completion_components`). Only proving that no completion exists
-    can still take exponential time.
+    can still take exponential time. Raises Uncompletable when there is none.
     """
-    dist = _distance(g, min_completion_components(g, _completions(g, slot_bound)))
+    first = next(_completions(g, slot_bound), None)
+    if first is None:
+        raise Uncompletable("graph has no completion")
+    dist = _distance(g, min_completion_components(g, first))
     if dist is None:
         raise ValueError("distance undefined for an edgeless disconnected graph")
     return dist
@@ -361,56 +360,43 @@ def exact_exp_chi(g, d_hat, eps):
     return Fraction(total, g.num_vertices)
 
 
-@dataclass
-class ExactReport:
-    completions_count: int
-    min_components: "int | None"
-    distance_to_connectedness: "Fraction | None"
-    plain_witnesses: list
-    generalized_witnesses: list
-    exp_chi: "Fraction | None" = None
+def _fraction_text(x):
+    return None if x is None else f"{x.numerator}/{x.denominator}"
 
-    def to_dict(self):
-        def frac(x):
-            return None if x is None else f"{x.numerator}/{x.denominator}"
 
-        return {
-            "completions_count": self.completions_count,
-            # A report exists only once the enumeration has finished.
-            "exhaustive": True,
-            "min_components": self.min_components,
-            "distance_to_connectedness": frac(self.distance_to_connectedness),
-            "plain_witnesses": [sorted(c) for c in self.plain_witnesses],
-            "generalized_witnesses": [
-                {"vertices": sorted(c), "anchors": sorted(a)}
-                for c, a in self.generalized_witnesses
-            ],
-            "exp_chi": frac(self.exp_chi),
-        }
+def witnesses_dict(inv):
+    """A witness inventory as JSON-ready lists of sorted vertices."""
+    return {
+        "plain": [sorted(c) for c in inv.plain],
+        "generalized": [{"vertices": sorted(c), "anchors": sorted(a)} for c, a in inv.generalized],
+    }
 
 
 def exact_report(g, d_hat=None, eps=None, slot_bound=20):
-    """Every exact oracle on g in one report; exp_chi needs both d_hat and eps.
+    """Every exact oracle on g in one JSON-ready dict; exp_chi needs both d_hat and eps.
 
     The completions are counted as the search yields them, and only the
     first is kept: it fixes the distance (see `min_completion_components`).
+    Fractions are "p/q" strings, and a missing value is None.
     """
     completions = _completions(g, slot_bound)
     first = next(completions, None)
     count, min_comp, dist = 0, None, None
     if first is not None:
         count = 1 + sum(1 for _ in completions)
-        min_comp = min_completion_components(g, (first,))
+        min_comp = min_completion_components(g, first)
         dist = _distance(g, min_comp)
-    inv = inventory_witnesses(g)
+    witnesses = witnesses_dict(inventory_witnesses(g))
     chi = None
     if d_hat is not None and eps is not None:
         chi = exact_exp_chi(g, d_hat, eps)
-    return ExactReport(
-        completions_count=count,
-        min_components=min_comp,
-        distance_to_connectedness=dist,
-        plain_witnesses=inv.plain,
-        generalized_witnesses=inv.generalized,
-        exp_chi=chi,
-    )
+    return {
+        "completions_count": count,
+        # A report exists only once the enumeration has finished.
+        "exhaustive": True,
+        "min_components": min_comp,
+        "distance_to_connectedness": _fraction_text(dist),
+        "plain_witnesses": witnesses["plain"],
+        "generalized_witnesses": witnesses["generalized"],
+        "exp_chi": _fraction_text(chi),
+    }

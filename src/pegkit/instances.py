@@ -8,7 +8,7 @@ leak structure). Identical seeds reproduce identical graphs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import ERASED, PartiallyErasedGraph, erase_slots
@@ -23,13 +23,6 @@ class _FamilyParams(dict):
 
     def __missing__(self, key):
         raise InfeasibleParameters(f"missing parameter --{key.replace('_', '-')}")
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -444,45 +437,45 @@ def erase(g, alpha, strategy="uniform", seed=0):
     return erase_slots(g, slots)
 
 
-def generate(spec):
-    """Build an instance from a FamilySpec. Returns (graph, manifest)."""
-    fam = spec.family
-    p = _FamilyParams(spec.params)
+def generate(family, params, seed):
+    """Build an instance of `family` from `params`, a dict keyed by parameter
+    name. Returns (graph, manifest)."""
+    p = _FamilyParams(params)
     extra = {}
-    if fam == "gplus":
-        g = gen_gplus(p["eps"], p["k"], spec.seed)
-    elif fam == "gminus":
-        g = gen_gminus(p["eps"], p["k"], spec.seed)
-    elif fam == "g1":
-        g = gen_g1(p["alpha"], p["n"], spec.seed)
-    elif fam == "g2":
-        g = gen_g2(p["alpha"], p["n"], spec.seed)
-    elif fam in _FIG_KINDS:
-        gadget = gen_fig_component(fam, spec.seed, p.get("host_size", 24))
+    if family == "gplus":
+        g = gen_gplus(p["eps"], p["k"], seed)
+    elif family == "gminus":
+        g = gen_gminus(p["eps"], p["k"], seed)
+    elif family == "g1":
+        g = gen_g1(p["alpha"], p["n"], seed)
+    elif family == "g2":
+        g = gen_g2(p["alpha"], p["n"], seed)
+    elif family in _FIG_KINDS:
+        gadget = gen_fig_component(family, seed, p.get("host_size", 24))
         g = gadget.graph
         extra["gadget_vertices"] = sorted(gadget.gadget_vertices)
-    elif fam == "far-forest":
+    elif family == "far-forest":
         g = gen_far_forest(
             p["eps"],
             p["alpha"],
             p["n"],
             p.get("davg", 2.0),
             p.get("strategy", "uniform"),
-            spec.seed,
+            seed,
         )
-    elif fam == "cycle-union":
-        g = gen_cycle_union(p["n"], p.get("cycle_len", max(3, p["n"])), spec.seed)
-    elif fam == "regularish":
-        g = gen_random_regularish(p["n"], p["davg"], spec.seed)
-    elif fam == "connected":
-        g = gen_connected(p["n"], p.get("davg", 2.0), spec.seed)
+    elif family == "cycle-union":
+        g = gen_cycle_union(p["n"], p.get("cycle_len", max(3, p["n"])), seed)
+    elif family == "regularish":
+        g = gen_random_regularish(p["n"], p["davg"], seed)
+    elif family == "connected":
+        g = gen_connected(p["n"], p.get("davg", 2.0), seed)
     else:
-        raise InfeasibleParameters(f"unknown family {fam!r}")
+        raise InfeasibleParameters(f"unknown family {family!r}")
     frac = g.erasure_fraction()
     manifest = {
-        "family": fam,
+        "family": family,
         "params": {k: str(v) for k, v in p.items()},
-        "seed": spec.seed,
+        "seed": seed,
         "properties": {
             "n": g.num_vertices,
             "m": g.num_edges,

@@ -3,15 +3,14 @@
 Every tester touches a graph only through a QuerySession, which counts degree
 and neighbor queries, may enforce a budget, and reads the graph as a query
 source through `num_vertices`, `degree(u)` and `neighbor(u, i)` alone, as
-`bfs_until` does through it. Run one single-owner session per trial.
+`bfs_until` does through it, so a source that wraps the graph sees every
+answered query, in order. Run one single-owner session per trial.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-
-from .graph import ERASED
 
 
 class BudgetExhausted(RuntimeError):
@@ -35,11 +34,9 @@ class QuerySession:
                    the cap raises BudgetExhausted instead (and is not counted).
     budget_counts: which counters the budget applies to: "both" (default)
                    or "neighbor".
-    trace:         optional file-like object; each answered query appends a
-                   line `D u` or `N u i -> ans` (ans is `*` for erased).
     """
 
-    def __init__(self, graph, seed=0, budget=None, budget_counts="both", trace=None):
+    def __init__(self, graph, seed=0, budget=None, budget_counts="both"):
         if budget_counts not in ("both", "neighbor"):
             raise ValueError(f"bad budget_counts {budget_counts!r}")
         self.graph = graph
@@ -47,7 +44,6 @@ class QuerySession:
         self.rng = random.Random(seed)
         self.budget = budget
         self.budget_counts = budget_counts
-        self.trace = trace
         self.degree_queries = 0
         self.neighbor_queries = 0
         # The budget rule, fixed here and tested inline by each query:
@@ -74,8 +70,6 @@ class QuerySession:
             raise self._budget_error()
         d = self.graph.degree(u)
         self.degree_queries += 1
-        if self.trace is not None:
-            self.trace.write(f"D {u}\n")
         return d
 
     def neighbor(self, u, i):
@@ -87,8 +81,6 @@ class QuerySession:
             raise self._budget_error()
         e = self.graph.neighbor(u, i)
         self.neighbor_queries += 1
-        if self.trace is not None:
-            self.trace.write(f"N {u} {i} -> {'*' if e is ERASED else e}\n")
         return e
 
     def random_vertex(self):

@@ -4,8 +4,9 @@ Nothing in the package or the command line runs these. They are the slow,
 direct versions of what the package computes in bulk or reads another way:
 the scalar credit sample, graphs rebuilt from completions, the small/big
 classification, the quality functions, when a capped search closes, the
-exact rejection probability of a tester's plan, and the filter oracle, a
-query source that answers for the subgraph of mutual edges.
+exact rejection probability of a tester's plan, the filter oracle, a
+query source that answers for the subgraph of mutual edges, and a recording
+source that writes down every query a session answers.
 """
 
 from fractions import Fraction
@@ -25,7 +26,7 @@ def erased_slots(g, u):
 # --- the credit sample ---------------------------------------------------------
 
 
-def chi_sample(session, cfg):
+def chi_sample(session, epsilon, crude):
     """One credit sample, drawn and charged query by query.
 
     Charges one degree query for the sampled vertex, one neighbor query for
@@ -33,7 +34,7 @@ def chi_sample(session, cfg):
     degree query when the drawn entry is non-erased.
     """
     g = session.graph
-    tau = chi_threshold(g.num_vertices, cfg.crude, cfg.epsilon)
+    tau = chi_threshold(g.num_vertices, crude, epsilon)
     u = session.random_vertex()
     du = session.degree(u)
     if du == 0:
@@ -250,3 +251,30 @@ class FilterOracle:
             raise IndexError(f"slot {i} outside [1, {self.degree_bound}]")
         lst = self._reconstruct(u)
         return lst[i - 1] if i <= len(lst) else BLANK
+
+
+# --- the recording source ---------------------------------------------------------
+
+
+class RecordingSource:
+    """A query source that answers from `graph` and writes one line per query to `out`.
+
+    The lines are `D u` and `N u i -> ans`, with ans `*` for an erased
+    entry. A session asks its source only for the queries it answers, so a
+    session over this source records exactly those, in order.
+    """
+
+    def __init__(self, graph, out):
+        self.graph = graph
+        self.num_vertices = graph.num_vertices
+        self.out = out
+
+    def degree(self, u):
+        d = self.graph.degree(u)
+        self.out.write(f"D {u}\n")
+        return d
+
+    def neighbor(self, u, i):
+        e = self.graph.neighbor(u, i)
+        self.out.write(f"N {u} {i} -> {'*' if e is ERASED else e}\n")
+        return e

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 from pegkit.avg_degree import (
-    DegreeEstimatorConfig,
     chi_threshold,
     d_plus,
     estimate_avg_degree,
@@ -384,7 +383,7 @@ def test_criterion_10_refinement_mean_matches_exact_expectation():
         s = None
         total = 0.0
         for r in range(runs):
-            est = refine_estimate(g, DegreeEstimatorConfig(epsilon=0.25, crude=crude, seed=split_seed(gi, r)))
+            est = refine_estimate(g, 0.25, crude, seed=split_seed(gi, r))
             s = est.samples
             total += est.value
         mean = total / runs

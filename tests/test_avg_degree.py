@@ -3,7 +3,6 @@ import math
 import random
 import statistics
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from pegkit import avg_degree
 from pegkit.avg_degree import (
-    DegreeEstimatorConfig,
     REP_COEFF,
     SAMPLE_COEFF,
     chi_threshold,
@@ -84,8 +82,7 @@ def test_sum_d_plus_at_most_m_with_equality_when_no_erasures():
 def test_chi_single_edge_low_endpoint_credits():
     g = single_edge()
     s = QuerySession(g, seed=11)
-    cfg = DegreeEstimatorConfig(epsilon=0.25, crude=1.0, seed=11)
-    values = [chi_sample(s, cfg) for _ in range(400)]
+    values = [chi_sample(s, 0.25, 1.0) for _ in range(400)]
     # E[chi] = 1/2: only the id-0 endpoint credits (degree tie, lower id)
     assert set(values) == {0.0, 1.0}
     assert abs(sum(values) / len(values) - 0.5) < 0.1
@@ -95,10 +92,9 @@ def test_chi_erased_slot_always_credits():
     # both vertices have degree 1; vertex 0's only entry is erased
     g = PartiallyErasedGraph([[ERASED], [2], [1]])
     s = QuerySession(g, seed=5)
-    cfg = DegreeEstimatorConfig(epsilon=0.25, crude=1.0, seed=5)
     seen = set()
     for _ in range(200):
-        chi = chi_sample(s, cfg)
+        chi = chi_sample(s, 0.25, 1.0)
         seen.add(chi)
     assert seen == {0.0, 1.0}
     exp = exact_exp_chi(g, Fraction(1), Fraction(1, 4))
@@ -116,21 +112,19 @@ def test_chi_high_degree_vertex_contributes_zero():
 
 def test_chi_range():
     g = erase(gen_random_regularish(30, 4, seed=2), 0.2, "uniform", seed=3)
-    cfg = DegreeEstimatorConfig(epsilon=0.25, crude=2.0, seed=9)
     tau = chi_threshold(30, 2.0, 0.25)
     s = QuerySession(g, seed=9)
     for _ in range(500):
-        chi = chi_sample(s, cfg)
+        chi = chi_sample(s, 0.25, 2.0)
         assert chi == 0.0 or 0 < chi <= tau * (1 + 1e-12)
 
 
 def test_scalar_accounting_no_isolates_no_erasures():
     g = gen_random_regularish(20, 3, seed=4)
     s = QuerySession(g, seed=1)
-    cfg = DegreeEstimatorConfig(epsilon=0.25, crude=2.0, seed=1)
     n_samples = 300
     for _ in range(n_samples):
-        chi_sample(s, cfg)
+        chi_sample(s, 0.25, 2.0)
     assert s.neighbor_queries == n_samples
     assert s.degree_queries == 2 * n_samples
 
@@ -138,9 +132,8 @@ def test_scalar_accounting_no_isolates_no_erasures():
 def test_scalar_accounting_all_erased():
     g = PartiallyErasedGraph([[ERASED], [ERASED]])
     s = QuerySession(g, seed=1)
-    cfg = DegreeEstimatorConfig(epsilon=0.25, crude=1.0, seed=1)
     for _ in range(100):
-        chi_sample(s, cfg)
+        chi_sample(s, 0.25, 1.0)
     assert s.neighbor_queries == 100
     assert s.degree_queries == 100  # no degree query for erased draws
 
@@ -149,9 +142,8 @@ def test_scalar_accounting_all_erased():
 
 
 def test_sample_count_formula():
-    cfg = DegreeEstimatorConfig(epsilon=0.25, crude=2.0)
     expected = math.ceil(660 * math.log(8) * math.sqrt(100 / (0.25**5 * 2.0)))
-    assert sample_count(100, cfg) == expected
+    assert sample_count(100, 0.25, 2.0, SAMPLE_COEFF) == expected
 
 
 def erased_graph_with_isolates(seed):
@@ -306,7 +298,7 @@ def test_estimates_are_the_reference_draws(name, monkeypatch):
 
 
 def reference_case(crude):
-    """The erased graph with isolates at eps 0.3: config, s, tau and exact expectations.
+    """The erased graph with isolates at eps 0.3: refinement arguments, s, tau and exact expectations.
 
     Expectations are of (value, degree queries, neighbor queries) for one
     refinement; the standard deviation bounds come from the ranges of one
@@ -316,9 +308,9 @@ def reference_case(crude):
     g = erased_graph_with_isolates(0)
     n = g.num_vertices
     eps = Fraction(3, 10)
-    cfg = DegreeEstimatorConfig(epsilon=float(eps), crude=float(crude), sample_coeff=0.05)
-    s = sample_count(n, cfg)
-    tau = chi_threshold(n, cfg.crude, cfg.epsilon)
+    args = {"epsilon": float(eps), "crude": float(crude), "sample_coeff": 0.05}
+    s = sample_count(n, **args)
+    tau = chi_threshold(n, args["crude"], args["epsilon"])
     nonisolated = [u for u in range(n) if g.degree(u) > 0]
     expected = (
         2 * float(exact_exp_chi(g, crude, eps)),
@@ -326,7 +318,7 @@ def reference_case(crude):
         s * len(nonisolated) / n,
     )
     sd = (tau / math.sqrt(s), math.sqrt(s) / 2, math.sqrt(s) / 2)
-    return g, cfg, s, tau, expected, sd
+    return g, args, s, tau, expected, sd
 
 
 def worst_z(observed, expected, sd):
@@ -338,11 +330,11 @@ def worst_z(observed, expected, sd):
 
 def test_refine_matches_scalar_reference_distribution():
     # tau ~ 6 drops the vertices of degree 7 to 9 from the credit
-    g, cfg, s, tau, expected, sd = reference_case(Fraction(1, 50))
+    g, args, s, tau, expected, sd = reference_case(Fraction(1, 50))
     assert 0 < sum(g.degree(u) > tau for u in range(g.num_vertices)) < g.num_vertices
     runs = 2000
 
-    collapsed = [refine_estimate(g, replace(cfg, seed=split_seed(1, r))) for r in range(runs)]
+    collapsed = [refine_estimate(g, **args, seed=split_seed(1, r)) for r in range(runs)]
     assert all(e.samples == s for e in collapsed)
     observed = ([e.value for e in collapsed], [e.degree_queries for e in collapsed],
                 [e.neighbor_queries for e in collapsed])
@@ -351,7 +343,7 @@ def test_refine_matches_scalar_reference_distribution():
     scalar = ([], [], [])
     for r in range(runs):
         session = QuerySession(g, seed=split_seed(2, r))
-        scalar[0].append(2 * sum(chi_sample(session, cfg) for _ in range(s)) / s)
+        scalar[0].append(2 * sum(chi_sample(session, args["epsilon"], args["crude"]) for _ in range(s)) / s)
         scalar[1].append(session.degree_queries)
         scalar[2].append(session.neighbor_queries)
     assert worst_z(scalar, expected, sd) <= 4
@@ -360,15 +352,15 @@ def test_refine_matches_scalar_reference_distribution():
 @pytest.mark.parametrize("crude", [Fraction(1, 50), Fraction(2)])
 def test_refine_level_matches_exact_distribution(crude):
     # crude 2 puts tau above every degree, so every class is credited
-    g, cfg, s, tau, expected, sd = reference_case(crude)
+    g, args, s, tau, expected, sd = reference_case(crude)
     assert (max(g.degree(u) for u in range(g.num_vertices)) <= tau) == (crude == 2)
     levels, t = 400, 7
     # a one-row refinement's value is its row's, so these follow the per-row law
-    values = [refine_estimate(g, replace(cfg, seed=split_seed(3, r))).value for r in range(levels * t)]
+    values = [refine_estimate(g, **args, seed=split_seed(3, r)).value for r in range(levels * t)]
     degree, neighbor = [], []
     for r in range(levels):
         session = QuerySession(g, seed=0)
-        est = refine_estimate(g, replace(cfg, seed=split_seed(4, r)), t, session)
+        est = refine_estimate(g, **args, seed=split_seed(4, r), reps=t, session=session)
         assert est.samples == s * t
         assert (session.degree_queries, session.neighbor_queries) == (est.degree_queries, est.neighbor_queries)
         degree.append(est.degree_queries / t)
@@ -407,12 +399,11 @@ def test_refine_sums_exactly_past_int64():
     # neither do the query totals of a few rows.
     g = gen_random_regularish(40, 20.0, seed=1)
     assert g.avg_degree == 20 and g.erasure_fraction() == 0
-    cfg = DegreeEstimatorConfig(0.25, crude=1.0, seed=3, sample_coeff=4e15)
-    est = refine_estimate(g, cfg)
+    est = refine_estimate(g, 0.25, 1.0, seed=3, sample_coeff=4e15)
     assert (1 - 0.25) * 20 <= est.value <= (1 + 0.25) * 20
     # no isolated vertex and no erased slot: two degree queries and one neighbor query per sample
     assert (est.degree_queries, est.neighbor_queries) == (2 * est.samples, est.samples)
-    level = refine_estimate(g, cfg, 6)
+    level = refine_estimate(g, 0.25, 1.0, seed=3, reps=6, sample_coeff=4e15)
     assert (1 - 0.25) * 20 <= level.value <= (1 + 0.25) * 20
     assert level.samples == 6 * est.samples
     assert (level.degree_queries, level.neighbor_queries) == (2 * level.samples, level.samples)
@@ -421,28 +412,26 @@ def test_refine_sums_exactly_past_int64():
 def test_refine_takes_the_lower_median_of_its_rows():
     # At an even row count the two middle rows differ, so an upper median or a
     # mean of the two would not give this value.
-    g, cfg, s, tau, _, _ = reference_case(Fraction(1, 50))
+    g, args, s, tau, _, _ = reference_case(Fraction(1, 50))
     p, value, _ = credit_outcomes(g, tau)
     reps = 6
     for seed in range(5):
         drawn = np.random.default_rng(seed).multinomial(s, p, size=reps)
         rows = sorted((2.0 * (drawn * value).sum(axis=1) / s).tolist())
         assert rows[(reps - 1) // 2] < rows[reps // 2]
-        assert refine_estimate(g, replace(cfg, seed=seed), reps).value == rows[(reps - 1) // 2]
+        assert refine_estimate(g, **args, seed=seed, reps=reps).value == rows[(reps - 1) // 2]
 
 
 def test_refine_accounting_no_isolates_no_erasures():
     g = gen_random_regularish(24, 3, seed=9)
-    cfg = DegreeEstimatorConfig(epsilon=0.3, crude=2.0, seed=2, sample_coeff=2.0)
-    est = refine_estimate(g, cfg)
+    est = refine_estimate(g, 0.3, 2.0, seed=2, sample_coeff=2.0)
     assert est.neighbor_queries == est.samples
     assert est.degree_queries == 2 * est.samples
 
 
 def test_refine_accounting_interpolates_with_erasures():
     g = erase(gen_random_regularish(24, 3, seed=9), 0.4, "uniform", seed=1)
-    cfg = DegreeEstimatorConfig(epsilon=0.3, crude=2.0, seed=2, sample_coeff=2.0)
-    est = refine_estimate(g, cfg)
+    est = refine_estimate(g, 0.3, 2.0, seed=2, sample_coeff=2.0)
     assert est.neighbor_queries == est.samples  # no isolated vertices
     assert est.samples <= est.degree_queries <= 2 * est.samples
 
@@ -450,8 +439,7 @@ def test_refine_accounting_interpolates_with_erasures():
 def test_refine_matches_exact_expectation():
     g = erase(gen_random_regularish(50, 4, seed=1), 0.3, "uniform", seed=2)
     exp2 = 2 * float(exact_exp_chi(g, Fraction(2), Fraction(1, 4)))
-    cfg = DegreeEstimatorConfig(epsilon=0.25, crude=2.0, seed=77, sample_coeff=30.0)
-    est = refine_estimate(g, cfg)
+    est = refine_estimate(g, 0.25, 2.0, seed=77, sample_coeff=30.0)
     tau = chi_threshold(50, 2.0, 0.25)
     sigma = 2 * tau / (2 * math.sqrt(est.samples))
     assert abs(est.value - exp2) <= 5 * sigma
@@ -460,19 +448,19 @@ def test_refine_matches_exact_expectation():
 def test_refine_validates_config():
     g = single_edge()
     with pytest.raises(ValueError):
-        refine_estimate(g, DegreeEstimatorConfig(epsilon=0.7, crude=1.0))
+        refine_estimate(g, 0.7, 1.0)
     with pytest.raises(ValueError):
-        refine_estimate(g, DegreeEstimatorConfig(epsilon=0.25, crude=None))
+        refine_estimate(g, 0.25, None)
     for coeffs in ({"sample_coeff": 0.0}, {"sample_coeff": -5.0}, {"sample_coeff": math.inf}):
         with pytest.raises(ValueError, match="must be a positive finite number"):
-            refine_estimate(g, DegreeEstimatorConfig(epsilon=0.25, crude=1.0, **coeffs))
+            refine_estimate(g, 0.25, 1.0, **coeffs)
     with pytest.raises(ValueError, match="too large"):
-        refine_estimate(g, DegreeEstimatorConfig(epsilon=0.25, crude=1.0, sample_coeff=1e30))
+        refine_estimate(g, 0.25, 1.0, sample_coeff=1e30)
 
 
 def test_conforming_flag():
-    assert is_conforming(DegreeEstimatorConfig(epsilon=0.25, crude=1.0).sample_coeff)
-    assert not is_conforming(DegreeEstimatorConfig(epsilon=0.25, crude=1.0, sample_coeff=5.0).sample_coeff)
+    assert is_conforming(inspect.signature(refine_estimate).parameters["sample_coeff"].default)
+    assert not is_conforming(5.0)
     # estimate_avg_degree's own defaults are the conforming coefficients
     defaults = inspect.signature(estimate_avg_degree).parameters
     assert is_conforming(defaults["sample_coeff"].default, defaults["rep_coeff"].default) is True
@@ -535,7 +523,7 @@ def test_estimate_charges_one_session(monkeypatch):
     assert est.degree_queries == sum(d for _, d, _ in charges)
     assert est.neighbor_queries == sum(nb for _, _, nb in charges)
     level_samples = [
-        sample_count(n, DegreeEstimatorConfig(0.25, crude=n / 2**i, sample_coeff=10.0)) for i in levels
+        sample_count(n, 0.25, n / 2**i, 10.0) for i in levels
     ]
     assert est.samples == sum(s * t for s in level_samples)
     assert est.neighbor_queries < est.degree_queries < 2 * est.samples

@@ -403,21 +403,28 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
         (["estimate", "--eps", "1e400"], "out of the float range: '1e400'"),
         (["gen", "--family", "connected", "--n", "10", "--davg", "1e400"], "out of the float range: '1e400'"),
         # A plan's arithmetic leaves the float range: eps * davg underflows to
-        # 0, or a subnormal value makes a schedule size infinite.
+        # 0, or a subnormal value makes a schedule size infinite. The plan
+        # names the parameters it was given.
         (["test-conn", "--algo", "small-alpha", "--eps", "1e-300", "--davg", "1e-300"],
-         "float division by zero"),
+         "epsilon 1e-300, alpha 0.0, davg 1e-300: the tester's schedule is not finite"),
         (["test-conn", "--algo", "mid-alpha", "--eps", "0.2", "--davg", "1e-320"],
-         "cannot convert float infinity to integer"),
-        (["test-conn", "--algo", "no-erasure", "--eps", "1e-320"], "cannot convert float infinity to integer"),
+         "epsilon 0.2, alpha 0.0, davg 1e-320: the tester's schedule is not finite"),
+        (["test-conn", "--algo", "no-erasure", "--eps", "1e-320"],
+         "epsilon 1e-320, davg 2.1538461538461537: the tester's schedule is not finite"),
         (["test-conn", "--algo", "unknown-davg", "--eps", "1e-320"],
-         "cannot convert float infinity to integer"),
-        (["estimate", "--eps", "0.25", "--rep-coeff", "1e308"], "cannot convert float infinity to integer"),
+         "epsilon 1e-320, alpha 0.0: the tester's schedule is not finite"),
+        (["estimate", "--eps", "0.25", "--rep-coeff", "1e308"],
+         "rep_coeff 1e+308 is too large: a level would run more than 65536 refinements"),
         # The davg-mismatch warning is dropped when the command then fails,
         # also when an earlier sweep value already ran.
         (["test-conn", "--algo", "mid-alpha", "--eps", "0.5", "--davg", "5"],
          "epsilon must lie in (0, 2/davg) = (0, 0.4)"),
         (["bench", "--algo", "mid-alpha", "--sweep", "eps=0.2,abc", "--davg", "5"],
          "not a rational number: 'abc'"),
+        (["test-conn", "--algo", "no-erasure", "--eps", "1e-300", "--davg", "1e-300"],
+         "epsilon 1e-300, davg 1e-300: the tester's schedule is not finite"),
+        (["test-conn", "--algo", "small-alpha", "--eps", "0.2", "--davg", "1e-320"],
+         "epsilon 0.2, alpha 0.0, davg 1e-320: the tester's schedule is not finite"),
     ],
 )
 def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):
@@ -433,14 +440,15 @@ def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-@pytest.mark.xfail(raises=MemoryError, strict=True, reason="the row count of a refinement level has no limit")
-def test_estimate_refuses_a_repetition_count_that_cannot_be_held(tmp_path, capsys):
-    # t = ceil(rep_coeff * ln(4 log2 n)) rows of a multinomial draw; at 1e12
-    # numpy refuses to allocate them (about 100 TiB) and raises MemoryError.
+@pytest.mark.parametrize("rep_coeff", ["1e12", "1e8"])
+def test_estimate_refuses_a_repetition_count_that_cannot_be_held(tmp_path, capsys, rep_coeff):
+    # t = ceil(rep_coeff * ln(4 log2 n)) rows of a multinomial draw; unrefused,
+    # 1e12 asks numpy for about 100 TiB and 1e8 for about 10 GB.
     peg = tmp_path / "gm.peg"
     save_peg(gen_gminus("1/7", 4, seed=7), str(peg))
-    code, stdout, err = run(capsys, "estimate", "--graph", str(peg), "--eps", "0.25", "--rep-coeff", "1e12")
+    code, stdout, err = run(capsys, "estimate", "--graph", str(peg), "--eps", "0.25", "--rep-coeff", rep_coeff)
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: rep_coeff {float(rep_coeff)} is too large")
 
 
 def test_erase_unknown_strategy_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from pegkit.connectedness import (
     ConnTesterConfig,
     EdgeCap,
     VertexCap,
+    WitnessReport,
     bfs_until,
     detect_generalized_witness,
     detect_plain_witness,
@@ -40,7 +41,7 @@ def two_triangles():
 def test_bfs_isolated_vertex_closes_immediately():
     g = PartiallyErasedGraph([[], [2], [1]])
     out = bfs_until(QuerySession(g, seed=0), 0, EdgeCap(1), halt_on_erasure=True)
-    assert out.closed and not out.truncated
+    assert out.closed
     assert out.explored == {0}
     assert out.entries_scanned == 0
 
@@ -55,7 +56,7 @@ def test_bfs_vertex_cap_allows_full_small_component():
 def test_bfs_vertex_cap_truncates_at_limit():
     g = two_triangles()
     out = bfs_until(QuerySession(g, seed=0), 1, VertexCap(3))
-    assert out.truncated and not out.closed
+    assert not out.closed
     assert len(out.explored) == 3
 
 
@@ -66,13 +67,13 @@ def test_bfs_edge_cap_exact_fit_still_closes():
     assert out.closed
     assert out.entries_scanned == 2
     out = bfs_until(QuerySession(g, seed=0), 0, EdgeCap(1))
-    assert out.truncated
+    assert not out.closed
 
 
 def test_bfs_halt_on_erasure():
     g = PartiallyErasedGraph([[ERASED, 1], [0]])
     out = bfs_until(QuerySession(g, seed=0), 0, EdgeCap(10), halt_on_erasure=True)
-    assert out.truncated and out.erasures_seen == 1
+    assert not out.closed and out.erasures_seen == 1
     out = bfs_until(QuerySession(g, seed=0), 0, EdgeCap(10), halt_on_erasure=False)
     assert out.closed and out.erasures_seen == 1
 
@@ -81,14 +82,14 @@ def test_bfs_budget_exhaustion_marks_truncated():
     g = two_triangles()
     s = QuerySession(g, seed=0, budget=3)
     out = bfs_until(s, 0, EdgeCap(50))
-    assert out.truncated and out.budget_hit and not out.closed
+    assert out.budget_hit and not out.closed
 
 
 def test_bfs_query_cap_counts_scanned_entries():
     g = two_triangles()
     s = QuerySession(g, seed=0)
     out = bfs_until(s, 0, EdgeCap(4))
-    assert out.truncated
+    assert not out.closed
     assert out.entries_scanned == 4
     assert s.neighbor_queries == 4
 
@@ -402,6 +403,38 @@ def test_mid_alpha_bfs_cap_formula():
     assert {plan.stop(1, d) for d in range(5)} == {EdgeCap(80)}
     assert plan.levels == ((1, math.ceil(40 * math.log(3))),)
     assert mid_alpha_plan(0.5, 0.0, 1.0).stop(1, 3) == EdgeCap(8)
+
+
+def test_plan_builders_take_keywords_and_name_them_when_not_finite():
+    assert small_alpha_plan(0.2, alpha=0.0, davg=3.0) == small_alpha_plan(0.2, 0.0, 3.0)
+    with pytest.raises(ValueError, match=r"^epsilon 1e-300, davg 1e-300: the tester's schedule is not finite$"):
+        no_erasure_plan(davg=1e-300, epsilon=1e-300)
+
+
+def _path_beside_a_triangle(length):
+    """A path on vertices 0..length-1, and a triangle on the next three."""
+    rows = [[w for w in (u - 1, u + 1) if 0 <= w < length] for u in range(length)]
+    t = length
+    return PartiallyErasedGraph(rows + [[t + 1, t + 2], [t, t + 2], [t, t + 1]])
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_small_alpha_vertex_cap_closes_on_a_path_of_2_to_the_i_vertices(i):
+    # b = 5 <= davg * log2(b): the vertex case, with levels 1..5.
+    plan = small_alpha_plan(0.1, 0.0, 4.0)
+    assert len(plan.levels) >= 3 and isinstance(plan.stop(i, 1), VertexCap)
+    for length, closes in ((2**i, True), (2**i + 1, False)):
+        g = _path_beside_a_triangle(length)
+        for v in range(length):
+            session = QuerySession(g)
+            d = session.degree(v)
+            out = bfs_until(session, v, plan.stop(i, d), not plan.generalized, d)
+            assert out.closed == closes, (length, v)
+            witness = detect_plain_witness(out)
+            if closes:
+                assert witness == WitnessReport("plain", frozenset(range(length)))
+            else:
+                assert witness is None
 
 
 def test_parameter_validation():

@@ -6,7 +6,6 @@ import pytest
 from pegkit.exact import components, distance_to_connectedness, enumerate_completions
 from pegkit.graph import ERASED, validate
 from pegkit.instances import (
-    FamilySpec,
     InfeasibleParameters,
     _far_forest_shapes,
     _permute,
@@ -197,14 +196,14 @@ def test_erase_budget_is_respected():
 
 
 def test_generate_dispatch_and_manifest():
-    g, manifest = generate(FamilySpec("gminus", {"eps": Fraction(1, 7), "k": 4}, seed=3))
+    g, manifest = generate("gminus", {"eps": Fraction(1, 7), "k": 4}, 3)
     assert manifest["family"] == "gminus"
     assert manifest["properties"]["n"] == 13
     assert manifest["properties"]["erasure_fraction"] == "1/7"
-    fig, manifest = generate(FamilySpec("one-erasure-anchored", {}, seed=1))
+    fig, manifest = generate("one-erasure-anchored", {}, 1)
     assert len(manifest["properties"]["gadget_vertices"]) == 3
     with pytest.raises(InfeasibleParameters):
-        generate(FamilySpec("no-such-family", {}, seed=0))
+        generate("no-such-family", {}, 0)
 
 
 def test_cycle_union_single_cycle_is_connected():

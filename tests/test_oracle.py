@@ -8,7 +8,7 @@ from pegkit.graph import ERASED, PartiallyErasedGraph
 from pegkit.instances import erase, gen_connected, gen_far_forest, gen_random_regularish
 from pegkit.oracle import BudgetExhausted, QuerySession, split_seed
 
-from reference import BLANK, FilterOracle
+from reference import BLANK, FilterOracle, RecordingSource
 
 
 def path3():
@@ -93,11 +93,15 @@ def test_split_seed_is_stable_and_spread():
 
 
 def test_trace_format():
+    # A session over a recording source records each answered query, in
+    # order, and none that the budget refuses.
     buf = io.StringIO()
-    s = QuerySession(PartiallyErasedGraph([[1, ERASED], [0]]), seed=0, trace=buf)
+    s = QuerySession(RecordingSource(PartiallyErasedGraph([[1, ERASED], [0]]), buf), seed=0, budget=3)
     s.degree(0)
     s.neighbor(0, 1)
     s.neighbor(0, 2)
+    with pytest.raises(BudgetExhausted):
+        s.degree(1)
     assert buf.getvalue() == "D 0\nN 0 1 -> 1\nN 0 2 -> *\n"
 
 

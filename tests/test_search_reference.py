@@ -4,8 +4,9 @@
 methods and `bfs_until` as they were before the hot path was rewritten: a
 budget check through `_check`/`_budgeted` on every query, a deque, and the
 entry cap tested before every entry. The rewritten code must charge the same
-queries in the same order, raise `BudgetExhausted` at the same query, write
-the same trace lines and return the same outcome.
+queries in the same order, raise `BudgetExhausted` at the same query and
+return the same outcome. The reference writes its own trace; the rewritten
+session runs over a `RecordingSource`, whose lines must equal that trace.
 """
 
 import io
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from pegkit.connectedness import BfsOutcome, EdgeCap, VertexCap, bfs_until
 from pegkit.graph import ERASED, PartiallyErasedGraph
 from pegkit.oracle import BudgetExhausted, QuerySession
+from reference import RecordingSource
 
 
 class ReferenceSession:
@@ -112,7 +114,8 @@ def reference_bfs_until(session, start, stop, halt_on_erasure=False, start_degre
 
 
 def _fields(out):
-    return {f.name: getattr(out, f.name) for f in fields(BfsOutcome)}
+    """The outcome's fields, and `truncated`, the reference's name for not closing."""
+    return {f.name: getattr(out, f.name) for f in fields(BfsOutcome)} | {"truncated": not out.closed}
 
 
 def _state(session, trace):
@@ -124,7 +127,7 @@ def _compare(g, start, stop, halt, budget, counts, pass_degree):
     runs = []
     for make, search in (
         (lambda t: ReferenceSession(g, budget, counts, t), reference_bfs_until),
-        (lambda t: QuerySession(g, budget=budget, budget_counts=counts, trace=t), bfs_until),
+        (lambda t: QuerySession(RecordingSource(g, t), budget=budget, budget_counts=counts), bfs_until),
     ):
         trace = io.StringIO()
         session = make(trace)
@@ -178,7 +181,7 @@ def test_search_matches_reference(g, data, kind, limit, halt, budget, counts, pa
 def test_search_matches_reference_at_limits_0_and_1(kind, limit, pass_degree):
     g = PartiallyErasedGraph([[1, ERASED], [0, 2], [1]])
     out = _compare(g, 0, kind(limit), False, None, "both", pass_degree)
-    assert out.truncated and not out.closed
+    assert not out.closed
 
 
 @pytest.mark.parametrize(
@@ -224,7 +227,7 @@ def test_budget_runs_out_where_the_reference_says(counts, budget, spent, pass_de
         # A "both" budget of 0 refuses the degree the caller charges itself.
         assert (counts, budget, pass_degree) == ("both", 0, True)
         return
-    assert out.budget_hit and out.truncated and not out.closed
+    assert out.budget_hit and not out.closed
     session = QuerySession(STAR, budget=budget, budget_counts=counts)
     start_degree = session.degree(0) if pass_degree else None
     bfs_until(session, 0, stop, True, start_degree)
@@ -241,7 +244,7 @@ def test_budget_runs_out_where_the_reference_says(counts, budget, spent, pass_de
 def test_session_budget_checks_match_reference(g, budget, counts, ops):
     trace_ref, trace = io.StringIO(), io.StringIO()
     ref = ReferenceSession(g, budget, counts, trace_ref)
-    new = QuerySession(g, budget=budget, budget_counts=counts, trace=trace)
+    new = QuerySession(RecordingSource(g, trace), budget=budget, budget_counts=counts)
     for is_degree, u, i in ops:
         u %= g.num_vertices
         if not is_degree and g.degree(u) == 0:
