@@ -110,7 +110,7 @@ class DegreeEstimate:
     samples: int
     degree_queries: int
     neighbor_queries: int
-    crude: "float | None" = None
+    # The search level i whose crude value n/2^i the estimate overtook, if any.
     iteration: "int | None" = None
 
 
@@ -161,28 +161,8 @@ def credit_classes(g):
     return g.cached(_credit_class_table)
 
 
-def _level_free_terms(g):
-    """The parts of `credit_outcomes` that do not depend on tau, built once per graph.
-
-    -> (class weight count/n per slot, weight*bot and weight*plus, each class's
-    rank among the distinct degrees, the distinct degrees, the rank of the
-    first positive one, isolated mass, total weight of listed slots). The
-    class table is sorted by degree, so a tau's credited classes are one run
-    of it and their distinct degrees one slice of the distinct degrees.
-    """
-    deg, bot, plus, count = credit_classes(g)
-    n = g.num_vertices
-    weight = count / (n * np.maximum(deg, 1))  # an isolated class has no slots
-    new_degree = np.concatenate(([True], deg[1:] != deg[:-1]))
-    degrees = deg[new_degree]
-    return (
-        weight, (weight * bot, weight * plus), np.cumsum(new_degree) - 1, degrees,
-        int(degrees[0] == 0), np.sum(count[deg == 0]) / n, np.dot(weight, deg - bot - plus),
-    )
-
-
 def _outcome_laws(g):
-    """The outcome laws `credit_outcomes` has built for g, keyed by credited run."""
+    """The outcome laws `credit_outcomes` has built for g, keyed by where the credited run ends."""
     return {}
 
 
@@ -196,12 +176,13 @@ def credit_outcomes(g, tau):
     probability sums, over the credit classes, class weight count/n times
     the share of the class's slots in that outcome.
 
-    The law depends on tau only through the credited run: the positive
-    distinct degrees up to the cutoff, which end at index `stop`. So each
-    law is built once per run and kept with the graph, read-only.
+    The law depends on tau only through the credited run: the classes of
+    positive degree up to the cutoff. The class table is sorted by degree,
+    so the run ends at one row, `stop`. So each law is built once per run
+    and kept with the graph, read-only.
     """
-    degrees = g.cached(_level_free_terms)[3]
-    stop = int(degrees.searchsorted(tau * (1 + _THRESHOLD_RTOL), side="right"))
+    deg = credit_classes(g)[0]
+    stop = int(deg.searchsorted(tau * (1 + _THRESHOLD_RTOL), side="right"))
     laws = g.cached(_outcome_laws)
     law = laws.get(stop)
     if law is None:
@@ -210,17 +191,24 @@ def credit_outcomes(g, tau):
 
 
 def _outcome_law(g, stop):
-    """`credit_outcomes` for the credited run that ends at distinct degree `stop`."""
-    deg, bot, plus, _ = credit_classes(g)
-    weight, slot_weights, rank, degrees, first, isolated, listed = g.cached(_level_free_terms)
-    credited = (rank >= first) & (rank < stop)
-    k, idx = stop - first, rank[credited] - first
-    paid = [np.bincount(idx, w[credited], k) for w in slot_weights]
+    """`credit_outcomes` for the credited run that ends at class-table row `stop`."""
+    deg, bot, plus, count = credit_classes(g)
+    n = g.num_vertices
+    live = deg > 0
+    credited = live & (np.arange(len(deg)) < stop)
+    weight = count / (n * np.maximum(deg, 1))  # an isolated class has no slots
+    degrees, idx = np.unique(deg[credited], return_inverse=True)
+    k = len(degrees)
+    paid = [np.bincount(idx, (weight * slots)[credited], k) for slots in (bot, plus)]
     rest = ~credited
-    unpaid = [isolated, np.dot(weight[rest], bot[rest]), listed + np.dot(weight[rest], plus[rest])]
+    unpaid = [
+        np.sum(count[~live]) / n,
+        np.dot(weight[rest], bot[rest]),
+        np.dot(weight, deg - bot - plus) + np.dot(weight[rest], plus[rest]),
+    ]
     law = (
         np.concatenate([unpaid, *paid]),
-        np.concatenate([np.zeros(3), degrees[first:stop], degrees[first:stop]]),
+        np.concatenate([np.zeros(3), degrees, degrees]),
         np.repeat([False, True, False, True, False], [1, 1, 1, k, k]),
     )
     for a in law:
@@ -254,8 +242,7 @@ def refine_estimate(g, epsilon, crude, seed=0, reps=1, sample_coeff=SAMPLE_COEFF
         session.charge_bulk(degree=degree, neighbor=neighbor)
     rows = sorted((2.0 * (drawn * value).sum(axis=1) / s).tolist())
     return DegreeEstimate(
-        value=rows[(reps - 1) // 2], samples=s * reps, degree_queries=degree,
-        neighbor_queries=neighbor, crude=crude,
+        value=rows[(reps - 1) // 2], samples=s * reps, degree_queries=degree, neighbor_queries=neighbor
     )
 
 
@@ -273,19 +260,18 @@ def estimate_avg_degree(g, epsilon, seed=0, sample_coeff=SAMPLE_COEFF, rep_coeff
     t = math.ceil(rep_coeff * math.log(4 * math.log2(n)))
     session = QuerySession(g, seed=seed)
     samples = 0
-    value, crude, level = 1.0, None, None
+    value, level = 1.0, None
     for i in range(math.ceil(math.log2(n)) + 1):
-        level_crude = n / 2**i
-        est = refine_estimate(g, epsilon, level_crude, split_seed(seed, i), t, sample_coeff, session)
+        crude = n / 2**i
+        est = refine_estimate(g, epsilon, crude, split_seed(seed, i), t, sample_coeff, session)
         samples += est.samples
-        if est.value > level_crude:
-            value, crude, level = est.value, level_crude, i
+        if est.value > crude:
+            value, level = est.value, i
             break
     return DegreeEstimate(
         value=value,
         samples=samples,
         degree_queries=session.degree_queries,
         neighbor_queries=session.neighbor_queries,
-        crude=crude,
         iteration=level,
     )

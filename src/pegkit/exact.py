@@ -93,9 +93,10 @@ def _completions(g, slot_bound):
     # never a repeat and is already normalised. A frame holds the position
     # of u, u, its slot count, its remaining combinations and the one taken.
     # A frame is popped only once it has no combination left, so u's first
-    # frame scans for partners lazily and every later one filters later[u].
-    # Either way the free counts are read as the frame moves on, when they
-    # are back to what they were as it was pushed.
+    # frame scans for partners and every later one filters later[u]. A
+    # one-slot frame scans lazily, as it moves on, when the free counts are
+    # back to what they were as it was pushed; a frame with more slots
+    # scans in full as it is pushed.
     chosen = []
     stack = []
     i = 0
@@ -114,7 +115,7 @@ def _completions(g, slot_bound):
             elif k == 1:
                 combos = zip(scan(i, u))
             else:
-                combos = _lazy_combinations(scan(i, u), k)
+                combos = itertools.combinations(list(scan(i, u)), k)
             stack.append([i, u, k, combos, ()])
         # Move the deepest frame on to its next combination, dropping
         # frames that have none left.
@@ -137,33 +138,6 @@ def _completions(g, slot_bound):
             stack.pop()
         else:
             return
-
-
-def _lazy_combinations(items, k):
-    """itertools.combinations(items, k), in its order, reading the iterator
-    `items` only as far as the next combination needs."""
-    pool = list(itertools.islice(items, k))
-    if len(pool) < k:
-        return
-    index = list(range(k))
-    while True:
-        yield tuple(map(pool.__getitem__, index))
-        # The last index moves on to the next item, read now if it is new.
-        # Once the items run out, the rightmost index with room moves, as
-        # in itertools.combinations.
-        if index[-1] + 1 == len(pool):
-            w = next(items, None)
-            if w is not None:
-                pool.append(w)
-        room = len(pool) - k
-        i = k - 1
-        while i >= 0 and index[i] == i + room:
-            i -= 1
-        if i < 0:
-            return
-        index[i] += 1
-        for j in range(i + 1, k):
-            index[j] = index[j - 1] + 1
 
 
 def components(g):

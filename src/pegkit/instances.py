@@ -272,12 +272,8 @@ def gen_cycle_union(n, cycle_len, seed=0):
     start = 0
     for c in range(k):
         end = n if c == k - 1 else start + cycle_len
-        if n - end in (1, 2):
-            end = n
         _cycle_rows(rows, list(range(start, end)))
         start = end
-        if start >= n:
-            break
     return _permute(rows, seed)[0]
 
 

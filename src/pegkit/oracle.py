@@ -88,18 +88,8 @@ class QuerySession:
         return self.rng.randrange(self._n)
 
     def charge_bulk(self, degree=0, neighbor=0):
-        """Account for queries executed by a batch path.
-
-        The budget check is coarse: the whole batch is rejected if it would
-        cross the cap.
-        """
+        """Account for queries executed by a batch path; a budgeted session refuses."""
         if self.budget is not None:
-            if self._degree_cap is not None:
-                spent, add = self.degree_queries + self.neighbor_queries, degree + neighbor
-            else:
-                spent, add = self.neighbor_queries, neighbor
-            if spent + add > self.budget:
-                raise BudgetExhausted(f"bulk charge of {add} exceeds budget {self.budget}")
+            raise ValueError("a bulk charge needs a session without a budget")
         self.degree_queries += degree
         self.neighbor_queries += neighbor
-

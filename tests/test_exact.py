@@ -294,26 +294,6 @@ def test_distance_on_4096_open_vertices_is_fast():
     assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
-@pytest.mark.parametrize("k", range(1, 5))
-@pytest.mark.parametrize("n", range(8))
-def test_lazy_combinations_read_only_what_the_next_one_needs(n, k):
-    read = []
-
-    def items():
-        for x in range(n):
-            read.append(x)
-            yield x
-
-    combos = exact._lazy_combinations(items(), k)
-    last = -1
-    for want in itertools.combinations(range(n), k):
-        assert next(combos) == want
-        last = max(last, want[-1])
-        assert len(read) == last + 1
-    assert next(combos, None) is None
-    assert read == list(range(n))
-
-
 def test_distance_zero_for_connected():
     g = gen_connected(20, 2.0, seed=1)
     assert distance_to_connectedness(g) == 0

@@ -52,20 +52,15 @@ def test_budget_counts_neighbor_only():
         s.neighbor(1, 2)
 
 
-def test_bulk_charge_is_refused_whole_when_it_would_cross_the_budget():
-    s = QuerySession(path3(), seed=0, budget=5)
+@pytest.mark.parametrize("budget_counts", ["both", "neighbor"])
+def test_bulk_charge_is_refused_by_a_budgeted_session(budget_counts):
+    s = QuerySession(path3(), seed=0, budget=100, budget_counts=budget_counts)
     s.degree(0)
-    s.charge_bulk(degree=2, neighbor=2)
-    assert s.exhausted
-    with pytest.raises(BudgetExhausted, match="bulk charge of 1 exceeds budget 5"):
-        s.charge_bulk(neighbor=1)
-    assert (s.degree_queries, s.neighbor_queries) == (3, 2)
-    s = QuerySession(path3(), seed=0, budget=2, budget_counts="neighbor")
-    s.charge_bulk(degree=10, neighbor=1)
-    with pytest.raises(BudgetExhausted, match="bulk charge of 2 exceeds budget 2"):
-        s.charge_bulk(degree=1, neighbor=2)
-    s.charge_bulk(degree=1, neighbor=1)
-    assert (s.degree_queries, s.neighbor_queries, s.exhausted) == (11, 2, True)
+    s.neighbor(0, 1)
+    for degree, neighbor in ((0, 0), (1, 0), (0, 1), (2, 2)):
+        with pytest.raises(ValueError, match="needs a session without a budget"):
+            s.charge_bulk(degree=degree, neighbor=neighbor)
+    assert (s.degree_queries, s.neighbor_queries) == (1, 1)
 
 
 def test_determinism_same_seed_same_everything():
