@@ -19,11 +19,6 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def by_command(rows):
-    """One pytest.param per (argv, message) row, its id the command, so a reworded message keeps the id."""
-    return [pytest.param(argv, message, id=" ".join(argv)) for argv, message in rows]
-
-
 def test_gen_and_exact_distance(tmp_path, capsys):
     peg = tmp_path / "gm.peg"
     manifest = tmp_path / "gm.json"
@@ -303,7 +298,7 @@ def test_out_of_range_entry_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "extra, message",
-    by_command([
+    [
         (["--eps", "0.7"], "epsilon must lie in (0, 1/2)"),
         (["--eps", "abc"], "not a rational number: 'abc'"),
         (["--eps", "1/0"], "not a rational number: '1/0'"),
@@ -316,7 +311,7 @@ def test_out_of_range_entry_exits_2(tmp_path, capsys, argv):
         (["--eps", "1e-300"], "epsilon 1e-300 is too small"),
         # The count overflows an int64 at the default coefficient too, so eps is to blame.
         (["--eps", "1e-10"], "epsilon 1e-10 is too small for a crude estimate of"),
-    ]),
+    ],
 )
 def test_estimate_parameter_errors_exit_2(tmp_path, capsys, extra, message):
     peg = tmp_path / "r.peg"
@@ -360,7 +355,7 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
 
 @pytest.mark.parametrize(
     "argv, message",
-    by_command([
+    [
         (["exact", "--what", "distance-conn", "--slot-bound", "1"],
          "4 free erased slots exceed the search bound 1"),
         (["exact", "--what", "report", "--slot-bound", "1"],
@@ -430,7 +425,7 @@ def test_bad_rationals_exit_2(tmp_path, capsys, argv, bad):
          "epsilon 1e-300, davg 1e-300: the tester's schedule is not finite"),
         (["test-conn", "--algo", "small-alpha", "--eps", "0.2", "--davg", "1e-320"],
          "epsilon 0.2, alpha 0.0, davg 1e-320: the tester's schedule is not finite"),
-    ]),
+    ],
 )
 def test_failed_inputs_exit_2(tmp_path, capsys, argv, message):
     peg = tmp_path / "gm.peg"
