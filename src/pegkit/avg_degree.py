@@ -41,16 +41,6 @@ _MAX_SAMPLES = np.iinfo(np.int64).max
 # each one is a row of the level's multinomial draw.
 _MAX_REPS = 2**16
 
-def precedes(g, u, v):
-    """Strict total vertex order: degree first, id as tie-break."""
-    return (g.degree(u), u) < (g.degree(v), v)
-
-
-def d_plus(g, u):
-    """Number of non-erased neighbors of u ranked above u."""
-    return sum(1 for w in g.listed(u) if precedes(g, u, w))
-
-
 def chi_threshold(n, crude, epsilon):
     """Degree cutoff above which samples contribute zero."""
     return THRESHOLD_COEFF * math.sqrt(n * crude / epsilon)
@@ -122,10 +112,11 @@ def sample_count(n, epsilon, crude, sample_coeff):
 def credit_counts(g):
     """Per-vertex (degree, d_bot, d_plus) as numpy arrays, vectorized.
 
-    The ranked-above test is `precedes` over all slots at once. Counts are
-    per slot, like the slot draw: a neighbor listed twice counts twice. On a
-    graph without repeated entries they equal `g.degree`, `g.erased_count`
-    and `d_plus`.
+    d_plus counts the listed neighbors ranked above the vertex, by degree
+    and then id. The test runs over all slots at once. Counts are per slot,
+    like the slot draw: a neighbor listed twice counts twice. On a graph
+    without repeated entries they equal `g.degree`, `g.erased_count` and
+    the scalar `precedes`/`d_plus` of `tests/reference.py`.
     """
     n = g.num_vertices
     degrees, flat = g.flat_adjacency()
@@ -161,11 +152,6 @@ def credit_classes(g):
     return g.cached(_credit_class_table)
 
 
-def _outcome_laws(g):
-    """The outcome laws `credit_outcomes` has built for g, keyed by where the credited run ends."""
-    return {}
-
-
 def credit_outcomes(g, tau):
     """(probability, credit value, erased flag) per outcome of one credit sample.
 
@@ -183,11 +169,7 @@ def credit_outcomes(g, tau):
     """
     deg = credit_classes(g)[0]
     stop = int(deg.searchsorted(tau * (1 + _THRESHOLD_RTOL), side="right"))
-    laws = g.cached(_outcome_laws)
-    law = laws.get(stop)
-    if law is None:
-        law = laws[stop] = _outcome_law(g, stop)
-    return law
+    return g.cached(_outcome_law, stop)
 
 
 def _outcome_law(g, stop):
@@ -216,7 +198,7 @@ def _outcome_law(g, stop):
     return law
 
 
-def refine_estimate(g, epsilon, crude, seed=0, reps=1, sample_coeff=SAMPLE_COEFF, session=None):
+def refine_estimate(g, epsilon, crude, seed=0, reps=1, sample_coeff=SAMPLE_COEFF):
     """Sharpen a crude estimate: the lower median of `reps` refinements at `crude`.
 
     One seeded numpy generator draws a `reps`-row multinomial over
@@ -224,9 +206,8 @@ def refine_estimate(g, epsilon, crude, seed=0, reps=1, sample_coeff=SAMPLE_COEFF
     per-slot draws. A row's value is twice its mean credit, computed in
     float64. The query totals are exact over all rows: one degree query per
     sample, one neighbor query per non-isolated sample, one extra degree
-    query per non-erased drawn entry. They are charged in bulk to `session`
-    when one is given; the estimate counts the samples and queries of this
-    call either way.
+    query per non-erased drawn entry. The estimate counts the samples and
+    queries of this call; charging them is the caller's part.
     """
     n = g.num_vertices
     # A missing crude value reaches the check as 0 and is rejected there.
@@ -238,8 +219,6 @@ def refine_estimate(g, epsilon, crude, seed=0, reps=1, sample_coeff=SAMPLE_COEFF
     isolated = sum(drawn[:, 0].tolist())
     degree = 2 * s * reps - isolated - sum(drawn.dot(erased).tolist())
     neighbor = s * reps - isolated
-    if session is not None:
-        session.charge_bulk(degree=degree, neighbor=neighbor)
     rows = sorted((2.0 * (drawn * value).sum(axis=1) / s).tolist())
     return DegreeEstimate(
         value=rows[(reps - 1) // 2], samples=s * reps, degree_queries=degree, neighbor_queries=neighbor
@@ -252,8 +231,8 @@ def estimate_avg_degree(g, epsilon, seed=0, sample_coeff=SAMPLE_COEFF, rep_coeff
     For i = 0..ceil(log2 n) runs the refinement repeatedly at crude = n/2^i
     (kept as an exact real) and takes the lower median; returns the first
     median that exceeds its crude input, or 1 if none does. Each level is one
-    `refine_estimate` call of t rows with its own split seed; all levels
-    charge one session, whose totals the estimate reports.
+    `refine_estimate` call of t rows with its own split seed, whose queries
+    are charged in bulk to one session; the estimate reports its totals.
     """
     n = g.num_vertices
     check_parameters(n, epsilon, sample_coeff=sample_coeff, rep_coeff=rep_coeff)
@@ -263,7 +242,8 @@ def estimate_avg_degree(g, epsilon, seed=0, sample_coeff=SAMPLE_COEFF, rep_coeff
     value, level = 1.0, None
     for i in range(math.ceil(math.log2(n)) + 1):
         crude = n / 2**i
-        est = refine_estimate(g, epsilon, crude, split_seed(seed, i), t, sample_coeff, session)
+        est = refine_estimate(g, epsilon, crude, split_seed(seed, i), t, sample_coeff)
+        session.charge_bulk(degree=est.degree_queries, neighbor=est.neighbor_queries)
         samples += est.samples
         if est.value > crude:
             value, level = est.value, i

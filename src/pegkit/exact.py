@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .avg_degree import THRESHOLD_COEFF, d_plus
+from .avg_degree import THRESHOLD_COEFF, credit_classes
 from .graph import closure, erased_counts, forced_partners, validate
 
 
@@ -306,32 +306,25 @@ def _inventory(g, reach):
     return WitnessInventory(plain_list, gen_list)
 
 
-def high_degree_set(g, d_hat, eps):
-    """Vertices with degree above THRESHOLD_COEFF * sqrt(n * d_hat / eps), exactly.
-
-    deg^2 > num/den is tested as deg^2 * den > num in integers; a Fraction
-    keeps den positive.
-    """
-    n = g.num_vertices
-    cutoff_sq = Fraction(THRESHOLD_COEFF) ** 2 * n * Fraction(d_hat) / Fraction(eps)
-    num, den = cutoff_sq.numerator, cutoff_sq.denominator
-    return {u for u in range(n) if g.degree(u) ** 2 * den > num}
-
-
 def exact_exp_chi(g, d_hat, eps):
     """Exact expectation of one credit sample, as a fraction.
 
     Equals (1/n) * sum over low-degree vertices of (ranked-above neighbor
-    count + erased slot count).
+    count + erased slot count), read from the estimator's credit classes. A
+    class is low-degree when its degree d is at most THRESHOLD_COEFF *
+    sqrt(n * d_hat / eps): d^2 <= num/den is tested as d^2 * den <= num in
+    integers, and a Fraction keeps den positive.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not d_hat > 0:
         raise ValueError(f"d_hat must be positive, got {d_hat}")
-    H = high_degree_set(g, d_hat, eps)
-    erased = erased_counts(g)
-    total = sum(d_plus(g, u) + erased[u] for u in range(g.num_vertices) if u not in H)
-    return Fraction(total, g.num_vertices)
+    n = g.num_vertices
+    cutoff_sq = Fraction(THRESHOLD_COEFF) ** 2 * n * Fraction(d_hat) / Fraction(eps)
+    num, den = cutoff_sq.numerator, cutoff_sq.denominator
+    deg, bot, plus, count = (column.tolist() for column in credit_classes(g))
+    total = sum(k * (b + p) for d, b, p, k in zip(deg, bot, plus, count) if d * d * den <= num)
+    return Fraction(total, n)
 
 
 def _fraction_text(x):

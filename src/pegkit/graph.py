@@ -144,16 +144,17 @@ class PartiallyErasedGraph:
             entries = map({ERASED: -1}.get, flat, flat)
         return degrees, np.fromiter(entries, dtype=np.int64, count=self._entries)
 
-    def cached(self, build):
-        """build(self), computed on first use and kept with the graph.
+    def cached(self, build, *key):
+        """build(self, *key), computed on first use and kept with the graph.
 
-        For read-only tables derived from the adjacency lists, keyed by the
-        `build` function; the estimator keeps its credit-class table and its
+        For read-only tables derived from the adjacency lists, keyed by
+        `(build, *key)`; the estimator keeps its credit-class table and its
         outcome laws here.
         """
-        table = self._derived.get(build)
+        slot = (build, *key)
+        table = self._derived.get(slot)
         if table is None:
-            table = self._derived[build] = build(self)
+            table = self._derived[slot] = build(self, *key)
         return table
 
     def __eq__(self, other):

@@ -2,7 +2,8 @@
 
 Nothing in the package or the command line runs these. They are the slow,
 direct versions of what the package computes in bulk or reads another way:
-the scalar credit sample, graphs rebuilt from completions, the small/big
+the vertex rank order, the scalar credit sample and its exact expectation,
+graphs rebuilt from completions, the small/big
 classification, the quality functions, when a capped search closes, the
 exact rejection probability of a tester's plan, the filter oracle, a
 query source that answers for the subgraph of mutual edges, and a recording
@@ -12,7 +13,7 @@ source that writes down every query a session answers.
 from fractions import Fraction
 
 from pegkit import exact
-from pegkit.avg_degree import _THRESHOLD_RTOL, chi_threshold, precedes
+from pegkit.avg_degree import _THRESHOLD_RTOL, THRESHOLD_COEFF, chi_threshold
 from pegkit.connectedness import VertexCap
 from pegkit.exact import components, inventory_witnesses
 from pegkit.graph import ERASED, PartiallyErasedGraph, forced_partners, validate
@@ -24,6 +25,29 @@ def erased_slots(g, u):
 
 
 # --- the credit sample ---------------------------------------------------------
+
+
+def precedes(g, u, v):
+    """Strict total vertex order: degree first, id as tie-break."""
+    return (g.degree(u), u) < (g.degree(v), v)
+
+
+def d_plus(g, u):
+    """Number of non-erased neighbors of u ranked above u."""
+    return sum(1 for w in g.listed(u) if precedes(g, u, w))
+
+
+def exp_chi(g, d_hat, eps):
+    """Exact expectation of one credit sample, vertex by vertex.
+
+    (1/n) * sum of d_plus(u) + erased slots of u over the vertices whose
+    degree is not above THRESHOLD_COEFF * sqrt(n * d_hat / eps), each
+    compared with the squared cutoff as a Fraction.
+    """
+    n = g.num_vertices
+    cutoff_sq = Fraction(THRESHOLD_COEFF) ** 2 * n * Fraction(d_hat) / Fraction(eps)
+    low = [u for u in range(n) if Fraction(g.degree(u)) ** 2 <= cutoff_sq]
+    return Fraction(sum(d_plus(g, u) + g.erased_count(u) for u in low), n)
 
 
 def chi_sample(session, epsilon, crude):

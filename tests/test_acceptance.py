@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from pegkit.avg_degree import (
     chi_threshold,
-    d_plus,
     estimate_avg_degree,
     is_conforming,
     refine_estimate,
@@ -49,7 +48,7 @@ from pegkit.instances import (
 )
 from pegkit.oracle import QuerySession, split_seed
 
-from reference import BLANK, FilterOracle, is_small, rejection_probability
+from reference import BLANK, FilterOracle, d_plus, is_small, rejection_probability
 
 
 def report(criterion, ok, detail):

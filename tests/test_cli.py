@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,12 @@ import pegkit
 from pegkit.cli import main
 from pegkit.graph import PartiallyErasedGraph, load_peg, save_peg
 from pegkit.instances import gen_gminus
+
+_SRC_REACH = importlib.util.spec_from_file_location(
+    "src_reach", Path(__file__).resolve().parent.parent / "tools" / "src_reach.py"
+)
+src_reach = importlib.util.module_from_spec(_SRC_REACH)
+_SRC_REACH.loader.exec_module(src_reach)
 
 
 def run(capsys, *argv):
@@ -141,6 +148,20 @@ def test_exact_validate_exit_codes(tmp_path, capsys):
     assert "duplicate-entry" in out
 
 
+@pytest.mark.parametrize("what", ["distance-conn", "witnesses", "exp-chi", "report"])
+@pytest.mark.parametrize("name", sorted(src_reach.INVALID))
+def test_exact_oracles_refuse_invalid_files(tmp_path, capsys, name, what):
+    # one file per validate code; each oracle names the first violation, as
+    # --what validate prints it, and writes nothing to stdout
+    peg = tmp_path / f"{name}.peg"
+    peg.write_text(src_reach.INVALID[name])
+    code, out, _ = run(capsys, "exact", "--graph", str(peg), "--what", "validate")
+    assert code == 1 and name in out
+    first = out.splitlines()[0]
+    code, out, err = run(capsys, "exact", "--graph", str(peg), "--what", what, "--dhat", "2", "--eps", "1/4")
+    assert (code, out, err) == (2, "", f"error: graph fails validate: {first}\n")
+
+
 def test_exact_exp_chi_output(tmp_path, capsys):
     peg = tmp_path / "e.peg"
     peg.write_text("peg 1\nn 2\nv 0 1\nv 1 0\n")
@@ -167,23 +188,28 @@ def test_bench_csv(tmp_path, capsys):
     assert len(lines) == 11
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["test-conn", "--algo", "mid-alpha", "--eps", "0.2", "--trials", "2"],
-        ["bench", "--algo", "mid-alpha", "--sweep", "eps=0.2", "--trials", "2"],
-    ],
-    ids=["test-conn", "bench"],
+DAVG_WARNING = (
+    "warning: supplied davg 5.0 differs from the graph's 2.1538461538461537; "
+    "proceeding with the supplied value\n"
 )
-def test_supplied_davg_mismatch_warns(tmp_path, capsys, argv):
+
+
+@pytest.mark.parametrize(
+    "argv, warning",
+    [
+        (["test-conn", "--algo", "mid-alpha", "--eps", "0.2", "--trials", "2"], DAVG_WARNING),
+        (["bench", "--algo", "mid-alpha", "--sweep", "eps=0.2", "--trials", "2"], DAVG_WARNING),
+        # the unknown-davg tester never reads davg, so a mismatch is no news
+        (["test-conn", "--algo", "unknown-davg", "--eps", "0.2", "--trials", "2"], ""),
+    ],
+    ids=["test-conn", "bench", "unknown-davg"],
+)
+def test_supplied_davg_mismatch_warns(tmp_path, capsys, argv, warning):
     peg = tmp_path / "gm.peg"
     save_peg(gen_gminus("1/7", 4, seed=7), str(peg))
     code, _, err = run(capsys, *argv, "--graph", str(peg), "--davg", "5")
     assert code == 0
-    assert err == (
-        "warning: supplied davg 5.0 differs from the graph's 2.1538461538461537; "
-        "proceeding with the supplied value\n"
-    )
+    assert err == warning
 
 
 def test_missing_graph_exits_2(capsys):

@@ -35,7 +35,6 @@ from pegkit.exact import (
     enumerate_completions,
     exact_exp_chi,
     exact_report,
-    high_degree_set,
     inventory_witnesses,
     min_completion_components,
     reach_listed,
@@ -65,6 +64,7 @@ from reference import (
     closes,
     completed_graph,
     erased_slots,
+    exp_chi,
     is_small,
     quality_edge_variant,
     quality_vertex_variant,
@@ -524,28 +524,35 @@ def test_exp_chi_claim_bounds_on_random_instances():
             assert val <= (1 + 2 * min(alpha, Fraction(1, 2))) * davg / 2
 
 
-def test_high_degree_set_exact_threshold():
-    star = PartiallyErasedGraph([[1, 2, 3, 4], [0], [0], [0], [0]])
-    # cutoff^2 = 16 * n * d_hat / eps, and membership needs deg strictly above
-    assert high_degree_set(star, Fraction(1, 11), Fraction(1, 2)) == {0}
-    assert high_degree_set(star, Fraction(1, 10), Fraction(1, 2)) == set()  # 16 = 16: not above
-    assert high_degree_set(star, Fraction(2), Fraction(1, 2)) == set()
-    # 80 * (2/15) / (2/3) = 16 again, reached through non-integer fractions
-    assert high_degree_set(star, Fraction(2, 15), Fraction(2, 3)) == set()
+def test_exp_chi_matches_the_per_vertex_cutoff():
+    # The hub holds an erased slot, so whether it is above the cutoff moves
+    # the value: 1 with every vertex credited, 4/5 without the hub.
+    star = PartiallyErasedGraph([[1, 2, 3, ERASED], [0], [0], [0], [ERASED]])
+    assert not validate(star)
     tiny = Fraction(1, 10**12)
-    assert high_degree_set(star, Fraction(2, 15) - tiny, Fraction(2, 3)) == {0}
-    assert high_degree_set(star, Fraction(2, 15), Fraction(2, 3) - tiny) == set()
+    # cutoff^2 = 16 * n * d_hat / eps, and leaving the credit needs deg strictly above
+    cases = [
+        (Fraction(1, 11), Fraction(1, 2), Fraction(4, 5)),
+        (Fraction(1, 10), Fraction(1, 2), 1),  # 16 = 16: not above
+        (Fraction(2), Fraction(1, 2), 1),
+        # 80 * (2/15) / (2/3) = 16 again, reached through non-integer fractions
+        (Fraction(2, 15), Fraction(2, 3), 1),
+        (Fraction(2, 15) - tiny, Fraction(2, 3), Fraction(4, 5)),
+        (Fraction(2, 15), Fraction(2, 3) - tiny, 1),
+    ]
+    for d_hat, eps, expected in cases:
+        assert exact_exp_chi(star, d_hat, eps) == exp_chi(star, d_hat, eps) == expected
     # against one Fraction per vertex, on a threshold graph with degrees 1..39
     n = 40
     g = PartiallyErasedGraph([[v for v in range(n) if v != u and u + v >= n - 1] for u in range(n)])
-    sizes = set()
+    values = set()
     for d_hat in (Fraction(1, 50), Fraction(1, 7), Fraction(2, 3), 1):
         for eps in (Fraction(1, 8), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
-            cutoff_sq = 16 * n * d_hat / eps
-            expected = {u for u in range(n) if Fraction(g.degree(u)) ** 2 > cutoff_sq}
-            assert high_degree_set(g, d_hat, eps) == expected
-            sizes.add(len(expected))
-    assert len(sizes) > 5 and 0 in sizes
+            value = exact_exp_chi(g, d_hat, eps)
+            assert value == exp_chi(g, d_hat, eps)
+            values.add(value)
+    # many cutoffs, one of them above every degree, which credits each edge once
+    assert len(values) > 5 and Fraction(g.num_edges, n) in values
 
 
 # --- quality ------------------------------------------------------------------
@@ -915,6 +922,17 @@ def arbitrary_graphs(draw):
 def test_exact_oracles_match_references_on_generated_graphs(g):
     _assert_matches_references(g)
     _assert_facts_match_references(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    erased_simple_graphs(),
+    st.fractions(Fraction(1, 50), 8, max_denominator=60),
+    st.fractions(Fraction(1, 50), Fraction(1, 2), max_denominator=60),
+)
+def test_exp_chi_matches_reference_on_generated_graphs(g, d_hat, eps):
+    assert not validate(g)
+    assert exact_exp_chi(g, d_hat, eps) == exp_chi(g, d_hat, eps)
 
 
 @settings(max_examples=150, deadline=None)

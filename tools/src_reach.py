@@ -15,7 +15,8 @@ library's `sys.settrace` (no coverage package is needed) while it:
   `erase` strategy, every `test-conn` algo, every `bench` sweep kind,
   `estimate`, every `exact --what`, and the inputs that reach the rarer
   branches (hand-written PEG texts, one invalid file per `validate` code, a
-  one-vertex graph, a budget that binds);
+  one-vertex graph, a budget that binds), and every exact oracle on each
+  invalid file;
 - runs `python -m pegkit.cli` once, through `runpy`.
 
 A statement counts as run when Python reports a line event on its first
@@ -164,6 +165,9 @@ def cli_grid(work):
         grid.append(["exact", "--graph", peg(name), "--what", "validate"])
     runs = [(argv, 0) for argv in grid]
     runs += [(["exact", "--graph", peg(name), "--what", "validate"], 1) for name in INVALID]
+    # Every other oracle refuses an invalid file.
+    runs += [(["exact", "--graph", peg(name), "--what", what, "--dhat", "2", "--eps", "1/4"], 2)
+             for name in INVALID for what in ("distance-conn", "witnesses", "exp-chi", "report")]
     return runs
 
 
